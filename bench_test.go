@@ -5,11 +5,7 @@
 //	go test -bench=. -benchtime=1x
 //
 // regenerates every result. Benchmarks default to the full experiment
-// scale; set GREENDIMM_QUICK=1 to use the reduced Quick horizons. Set
-// GREENDIMM_SHARDS to a shard count ("auto" picks the host default) to
-// run every engine channel-sharded — results are byte-identical, only
-// wall time moves; scripts/bench.sh records the setting in the snapshot
-// so bench_compare.sh never compares across it.
+// scale; set GREENDIMM_QUICK=1 to use the reduced Quick horizons.
 //
 // Absolute wall-power numbers depend on the calibrated power model (see
 // EXPERIMENTS.md); the shapes — who wins, by what factor, where the
@@ -18,7 +14,6 @@ package greendimm
 
 import (
 	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -34,28 +29,7 @@ import (
 var benchMemo = sweep.NewMemo(0)
 
 func benchOpts() exp.Options {
-	o := exp.Options{Quick: os.Getenv("GREENDIMM_QUICK") != "", Seed: 1, Memo: benchMemo}
-	o.Hooks.EngineShards = benchShards()
-	return o
-}
-
-// benchShards resolves GREENDIMM_SHARDS: unset or 0 = sequential,
-// "auto" = the host default (exp.AutoEngineShards), anything else a
-// shard count. Malformed values are a configuration error worth failing
-// loudly on, since a silent fallback would mislabel the snapshot.
-func benchShards() int {
-	s := os.Getenv("GREENDIMM_SHARDS")
-	switch s {
-	case "", "0":
-		return 0
-	case "auto":
-		return exp.AutoEngineShards()
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		panic("GREENDIMM_SHARDS must be a non-negative integer or \"auto\", got " + strconv.Quote(s))
-	}
-	return n
+	return exp.Options{Quick: os.Getenv("GREENDIMM_QUICK") != "", Seed: 1, Memo: benchMemo}
 }
 
 // BenchmarkFig1MemoryUtilization regenerates Fig. 1: VM memory

@@ -48,7 +48,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced horizons (faster, noisier)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		parallel   = flag.Int("parallel", 0, "sweep worker goroutines per experiment (0 = all CPUs, 1 = serial; output is identical either way)")
-		shards     = flag.Int("engine-shards", 0, "per-channel event lanes inside each simulation engine (0 = sequential, -1 = auto for this host; output is identical either way)")
 		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
 		specFile   = flag.String("spec", "", "run a JSON job-spec file (one spec object or an array) instead of -experiment")
 		policyFile = flag.String("policy-config", "", "run a JSON policy config file (a block-selection pipeline plus an optional VM scenario) instead of -experiment")
@@ -61,13 +60,6 @@ func main() {
 	if *parallel < 0 {
 		fmt.Fprintln(os.Stderr, "-parallel must be >= 0")
 		os.Exit(2)
-	}
-	if *shards < -1 || *shards > server.MaxEngineShards {
-		fmt.Fprintf(os.Stderr, "-engine-shards must be -1 (auto) or in [0, %d]\n", server.MaxEngineShards)
-		os.Exit(2)
-	}
-	if *shards == -1 {
-		*shards = exp.AutoEngineShards()
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -85,7 +77,6 @@ func main() {
 		}
 		spec := pc.JobSpec()
 		spec.Parallelism = *parallel
-		spec.EngineShards = *shards
 		runSpecs([]string{"policy:" + pc.Policy.Fingerprint()}, []server.JobSpec{spec},
 			*backends, *hedgeAfter, *csvDir, *traceOut)
 	case *specFile != "":
@@ -98,11 +89,10 @@ func main() {
 	case *backends != "" || *traceOut != "":
 		// Tracing needs the spec path: runSpecs threads an obs.Trace
 		// through execution, which the registry path has no seam for.
-		labels, specs := experimentSpecs(*which, *quick, *seed, *parallel, *shards)
+		labels, specs := experimentSpecs(*which, *quick, *seed, *parallel)
 		runSpecs(labels, specs, *backends, *hedgeAfter, *csvDir, *traceOut)
 	default:
 		opts := exp.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
-		opts.Hooks.EngineShards = *shards
 		saveMemo := openMemoDir(*memoDir, &opts)
 		runLocalRegistry(*which, opts, *csvDir)
 		saveMemo()
@@ -289,7 +279,7 @@ func experimentIDs(which string) []string {
 }
 
 // experimentSpecs turns the CLI's experiment selection into job specs.
-func experimentSpecs(which string, quick bool, seed int64, parallel, shards int) ([]string, []server.JobSpec) {
+func experimentSpecs(which string, quick bool, seed int64, parallel int) ([]string, []server.JobSpec) {
 	experiments := exp.Registry()
 	var labels []string
 	var specs []server.JobSpec
@@ -303,10 +293,9 @@ func experimentSpecs(which string, quick bool, seed int64, parallel, shards int)
 		}
 		labels = append(labels, id)
 		specs = append(specs, server.JobSpec{
-			Kind:         server.KindExperiment,
-			Experiment:   &server.ExperimentSpec{ID: id, Quick: quick, Seed: seed},
-			Parallelism:  parallel,
-			EngineShards: shards,
+			Kind:        server.KindExperiment,
+			Experiment:  &server.ExperimentSpec{ID: id, Quick: quick, Seed: seed},
+			Parallelism: parallel,
 		})
 	}
 	return labels, specs

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"greendimm/internal/report"
+	"greendimm/internal/server"
 )
 
 func TestWriteCSV(t *testing.T) {
@@ -33,5 +34,46 @@ func TestKnownListsAllExperiments(t *testing.T) {
 		if !strings.Contains(k, id) {
 			t.Errorf("known() missing %q: %s", id, k)
 		}
+	}
+}
+
+// TestLoadSpecsAcceptsEngineShards pins that spec files written for the
+// removed sharded engine still load: engine_shards is accepted, ignored,
+// and leaves the spec hash alone, while its range check still applies.
+func TestLoadSpecsAcceptsEngineShards(t *testing.T) {
+	dir := t.TempDir()
+	load := func(name, body string) server.JobSpec {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		specs, err := loadSpecs(path)
+		if err != nil {
+			t.Fatalf("loadSpecs(%s): %v", body, err)
+		}
+		if len(specs) != 1 {
+			t.Fatalf("loadSpecs(%s) = %d specs, want 1", body, len(specs))
+		}
+		return specs[0]
+	}
+	hash := func(spec server.JobSpec) string {
+		t.Helper()
+		h, err := server.SpecHash(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	plain := hash(load("plain.json", `{"kind":"experiment","experiment":{"id":"hwcost"}}`))
+	if got := hash(load("sharded.json", `{"kind":"experiment","experiment":{"id":"hwcost"},"engine_shards":4}`)); got != plain {
+		t.Errorf("engine_shards changed the spec hash: %s vs %s", got, plain)
+	}
+	if got := hash(load("array.json", `[{"kind":"experiment","experiment":{"id":"hwcost"},"engine_shards":2}]`)); got != plain {
+		t.Errorf("engine_shards in a spec array changed the spec hash: %s vs %s", got, plain)
+	}
+	if _, err := server.SpecHash(load("bad.json", `{"kind":"experiment","experiment":{"id":"hwcost"},"engine_shards":17}`)); err == nil {
+		t.Error("engine_shards 17 passed validation")
 	}
 }

@@ -58,7 +58,7 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", 2*time.Hour, "ceiling on client-requested deadlines")
 		grace      = flag.Duration("grace", 2*time.Minute, "drain window for in-flight jobs on shutdown")
 		maxRecords = flag.Int("max-records", 4096, "finished job records to retain")
-		cpuBudget  = flag.Int("cpu-budget", runtime.GOMAXPROCS(0), "goroutine budget shared by workers, per-job sweep parallelism and engine shard workers (engine_shards specs)")
+		cpuBudget  = flag.Int("cpu-budget", runtime.GOMAXPROCS(0), "goroutine budget shared by workers and per-job sweep parallelism")
 		peers      = flag.String("peers", "", "comma-separated peer greendimmd base URLs; queue-full submissions are proxied to a healthy peer instead of returning 429")
 		peerProbe  = flag.Duration("peer-probe", 2*time.Second, "peer /healthz probe period (with -peers)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")

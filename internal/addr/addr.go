@@ -181,23 +181,6 @@ func (m *Mapper) Encode(l Loc) uint64 {
 	return a << m.lineBits
 }
 
-// ChannelOf returns the channel an address maps to without decoding the
-// full location. The channel is the sharding key of the sharded event
-// engine (sim.SetShards): every access to an address is handled entirely
-// by the lane owning its channel, so this must agree with Decode's
-// Channel field under both layouts.
-func (m *Mapper) ChannelOf(pa uint64) (int, error) {
-	if pa >= uint64(m.org.TotalBytes()) {
-		return 0, fmt.Errorf("addr: physical address %#x beyond capacity %#x", pa, m.org.TotalBytes())
-	}
-	a := pa >> m.lineBits
-	if m.interleaved {
-		return int(a & ((1 << m.chanBits) - 1)), nil
-	}
-	shift := m.colBits + m.bankBits + m.bgBits + m.rowBits + m.rankBits
-	return int(a >> shift), nil
-}
-
 // SubArrayGroup returns the sub-array group index (0..SubArraysPerBank-1)
 // that the address's row falls in: the top saBits of the row address
 // (paper §4.1, global row decoder).

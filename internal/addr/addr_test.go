@@ -261,24 +261,3 @@ func TestBijectionAcrossAllGroups(t *testing.T) {
 		seen[l] = pa
 	}
 }
-
-func TestChannelOfMatchesDecode(t *testing.T) {
-	for _, intlv := range []bool{true, false} {
-		m := mustMapper(t, dram.Org64GB(), intlv)
-		f := func(raw uint64) bool {
-			pa := raw % uint64(m.Org().TotalBytes())
-			l, err := m.Decode(pa)
-			if err != nil {
-				return false
-			}
-			ch, err := m.ChannelOf(pa)
-			return err == nil && ch == l.Channel
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("intlv=%v: %v", intlv, err)
-		}
-		if _, err := m.ChannelOf(uint64(m.Org().TotalBytes())); err == nil {
-			t.Errorf("intlv=%v: address at capacity accepted", intlv)
-		}
-	}
-}

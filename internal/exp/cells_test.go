@@ -5,8 +5,22 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// artifactLog collects a run's CellSink calls. A parallel sweep calls
+// the sink from concurrent cells, so appends are locked.
+type artifactLog struct {
+	mu   sync.Mutex
+	arts []CellArtifact
+}
+
+func (l *artifactLog) sink(a CellArtifact) {
+	l.mu.Lock()
+	l.arts = append(l.arts, a.Compact())
+	l.mu.Unlock()
+}
 
 // TestCellCount probes sweep sizes without simulating: fig8's (workload
 // x policy) matrix is 12 cells, and the probe must return before any
@@ -63,34 +77,34 @@ func TestRangeArtifactsReplay(t *testing.T) {
 	fn := Registry()["fig8"]
 	base := Options{Quick: true, Seed: 1}
 
-	var arts []CellArtifact
+	var sunk artifactLog
 	for _, r := range [][2]int{{0, 7}, {7, 12}} {
 		o := base
 		o.CellRange = &CellRange{Lo: r[0], Hi: r[1]}
-		o.CellSink = func(a CellArtifact) { arts = append(arts, a.Compact()) }
+		o.CellSink = sunk.sink
 		var rd *RangeDone
 		if _, _, err := fn(o); !errors.As(err, &rd) {
 			t.Fatalf("range %v: %v", r, err)
 		}
 	}
-	if len(arts) != 12 {
-		t.Fatalf("collected %d artifacts from 12 cells", len(arts))
+	if len(sunk.arts) != 12 {
+		t.Fatalf("collected %d artifacts from 12 cells", len(sunk.arts))
 	}
 
 	plain, _, err := fn(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := 0
+	var replayed artifactLog
 	o := base
-	o.CellSource = NewCellSet(arts)
-	o.CellSink = func(CellArtifact) { replayed++ }
+	o.CellSource = NewCellSet(sunk.arts)
+	o.CellSink = replayed.sink
 	fromCells, _, err := fn(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed != 0 {
-		t.Fatalf("replayed run re-offered %d cells to the sink", replayed)
+	if len(replayed.arts) != 0 {
+		t.Fatalf("replayed run re-offered %d cells to the sink", len(replayed.arts))
 	}
 	pb, _ := json.Marshal(plain)
 	rb, _ := json.Marshal(fromCells)

@@ -121,21 +121,8 @@ type Hooks struct {
 	// Limiter, when non-nil, is a shared machine-wide budget for sweep
 	// workers beyond each sweep's first. greendimmd installs one limiter
 	// across all jobs so per-job parallelism and the worker pool compose
-	// instead of oversubscribing workers x NumCPU goroutines. The same
-	// limiter also gates shard workers when EngineShards is set, so
-	// parallelism x shards stays inside the one budget.
+	// instead of oversubscribing workers x NumCPU goroutines.
 	Limiter *sweep.Limiter
-	// EngineShards, when >= 2, enables channel-sharded execution inside
-	// every engine the experiment creates (sim.SetShards): per-channel
-	// event lanes fan out to worker goroutines where the memory
-	// controller's lookahead allows, with results byte-identical to the
-	// sequential engine. 0 and 1 run sequentially. Experiments without a
-	// memory controller register no lookahead and ignore the setting.
-	// Pure execution knob — excluded from job specs and memo keys like
-	// Parallelism. Extra shard workers draw on Limiter when present, so
-	// a job at Parallelism p with s shards never exceeds the machine
-	// budget. See DESIGN.md §10 and AutoEngineShards.
-	EngineShards int
 	// Trace, when non-nil, receives one "cell" span per sweep cell (the
 	// span's Arg is the cell index), timing where a job's execution
 	// wall-time goes. Like every obs.Trace, recording is lock-free and a
@@ -156,35 +143,13 @@ type Hooks struct {
 // Options.newEngine) so daemon-run jobs honor deadlines.
 func (h Hooks) newEngine() *sim.Engine {
 	e := sim.NewEngine()
-	if h.EngineShards >= 2 {
-		e.SetShards(h.EngineShards)
-		if h.Limiter != nil {
-			e.SetShardBudget(h.Limiter.TryAcquire, h.Limiter.Release)
-		}
-	}
 	if h.Stop != nil {
 		e.SetStopCheck(0, h.Stop)
 	}
-	// Observe runs last so tests can adjust shard knobs (fan-out
-	// threshold, worker budget) on the fully configured engine.
 	if h.Observe != nil {
 		h.Observe(e)
 	}
 	return e
-}
-
-// AutoEngineShards picks a default shard count for this host: one lane
-// per channel up to the paper's four-channel organization, but none at
-// all on a single-CPU host where fan-out can only add overhead.
-func AutoEngineShards() int {
-	n := runtime.NumCPU()
-	if n < 2 {
-		return 0
-	}
-	if n > 4 {
-		n = 4
-	}
-	return n
 }
 
 // newEngine builds the experiment's engine with o's hooks installed.

@@ -131,18 +131,18 @@ func TestPolicyGridShardCells(t *testing.T) {
 
 	fn := Registry()["polgrid"]
 	base := Options{Quick: true, Seed: 1}
-	var arts []CellArtifact
+	var sunk artifactLog
 	for _, rng := range [][2]int{{0, 10}, {10, 18}} {
 		o := base
 		o.CellRange = &CellRange{Lo: rng[0], Hi: rng[1]}
-		o.CellSink = func(a CellArtifact) { arts = append(arts, a.Compact()) }
+		o.CellSink = sunk.sink
 		var rd *RangeDone
 		if _, _, err := fn(o); !errors.As(err, &rd) || rd.Total != 18 {
 			t.Fatalf("range %v: err = %v, want RangeDone{Total: 18}", rng, err)
 		}
 	}
-	if len(arts) != 18 {
-		t.Fatalf("collected %d artifacts from 18 cells", len(arts))
+	if len(sunk.arts) != 18 {
+		t.Fatalf("collected %d artifacts from 18 cells", len(sunk.arts))
 	}
 
 	plain, _, err := fn(base)
@@ -150,15 +150,15 @@ func TestPolicyGridShardCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := base
-	o.CellSource = NewCellSet(arts)
-	replayed := 0
-	o.CellSink = func(CellArtifact) { replayed++ }
+	o.CellSource = NewCellSet(sunk.arts)
+	var replayed artifactLog
+	o.CellSink = replayed.sink
 	fromCells, _, err := fn(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed != 0 {
-		t.Fatalf("replayed run re-offered %d cells to the sink", replayed)
+	if len(replayed.arts) != 0 {
+		t.Fatalf("replayed run re-offered %d cells to the sink", len(replayed.arts))
 	}
 	pb, _ := json.Marshal(plain)
 	rb, _ := json.Marshal(fromCells)

@@ -7,12 +7,6 @@
 //
 // Pages carry no data; content identity (needed by KSM) lives in
 // internal/ksm, which registers a migration hook so content follows pages.
-//
-// Everything here is cross-channel state (allocations and policy span
-// the whole address space), so under a channel-sharded engine
-// (sim.SetShards, DESIGN.md §10) kernel events always run on the global
-// lane — model code in this package must never be scheduled through a
-// per-channel lane view.
 package kernel
 
 import (

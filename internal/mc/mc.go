@@ -107,7 +107,7 @@ const (
 
 // rank tracks one rank's power state, refresh, and activate history.
 type rank struct {
-	sh        *chanShard // owning channel shard (lane engine, shard stats)
+	chn       *channel // owning channel (its stats count this rank's activity)
 	banks     []bank
 	res       *metrics.Residency
 	state     int
@@ -128,18 +128,9 @@ type rank struct {
 	idleArmedAt sim.Time
 }
 
-// chanShard is one memory channel's scheduler state — and, under a
-// sharded engine, one shard of the controller: every event it schedules
-// (kicks, idle-descent timers, refresh ticks) is tagged with its engine
-// lane and touches only this struct, its ranks, and read-only controller
-// config, so the engine may run different channels' events concurrently.
-// Cross-channel state (the address map, the sub-array register, the
-// request pool) stays on the Controller and is only touched from the
-// global lane (SubmitCall, completions). Completions leave the shard
-// through eng.AtGlobalFunc at data-return time, which is what bounds the
-// engine's lookahead. Stats are per-shard and merged on demand.
-type chanShard struct {
-	eng       *sim.Engine // lane view of the controller's engine
+// channel is one memory channel's scheduler state. Stats are kept per
+// channel and merged on demand (see Controller.Stats).
+type channel struct {
 	queue     []*request
 	busFreeAt sim.Time
 	kickAt    sim.Time // earliest pending kick event, to dedupe
@@ -166,7 +157,7 @@ type Controller struct {
 	cfg    Config
 	mapper *addr.Mapper
 
-	channels []*chanShard
+	channels []*channel
 	saReg    *dram.SubArrayGroupRegister
 	pasr     *dram.PASRRegister
 	dpdFrac  *metrics.WeightedValue
@@ -180,7 +171,7 @@ type Controller struct {
 	// Event handlers bound once at construction; scheduled with the
 	// engine's AtFunc family so the hot path never allocates a closure.
 	compFn    func(any) // arg *request: completion at data-return time
-	kickFn    func(any) // arg *chanShard: scheduling pass
+	kickFn    func(any) // arg *channel: scheduling pass
 	idleFn    func(any) // arg *rank: idle-descent timer
 	refreshFn func(any) // arg *rank: tREFI refresh tick
 
@@ -224,23 +215,19 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	}
 	c.rankAccesses = make([]int64, cfg.Org.TotalRanks())
 	c.compFn = func(v any) { c.completeReq(v.(*request)) }
-	c.kickFn = func(v any) { c.kickTick(v.(*chanShard)) }
+	c.kickFn = func(v any) { c.kickTick(v.(*channel)) }
 	c.idleFn = func(v any) { c.idleTick(v.(*rank)) }
 	c.refreshFn = func(v any) { c.refreshTick(v.(*rank)) }
-	// Sharded engines may run channels' events concurrently as long as no
-	// cross-shard message (only the completion events scheduled by issue)
-	// lands sooner than the minimum data-return latency.
-	eng.SetShardLookahead(minTime2(cfg.Timing.TCL, cfg.Timing.TCWL) + cfg.Timing.TBL)
 	now := eng.Now()
 	for ch := 0; ch < cfg.Org.Channels; ch++ {
-		chn := &chanShard{eng: eng.Lane(ch)}
-		// Reads per run reach tens of millions; bound each shard's
+		chn := &channel{}
+		// Reads per run reach tens of millions; bound each channel's
 		// percentile storage (Mean/N stay exact — see
 		// metrics.Distribution.SetCap).
 		chn.stats.ReadLatency.SetCap(readLatencyCap)
 		for r := 0; r < cfg.Org.RanksPerChannel(); r++ {
 			rk := &rank{
-				sh:           chn,
+				chn:          chn,
 				banks:        make([]bank, cfg.Org.Banks()),
 				res:          metrics.NewResidency(rsCount, rsStandby, now),
 				state:        rsStandby,
@@ -255,7 +242,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 				rk.actHist[i] = -1 // empty: ACTs at t=0 are still real
 			}
 			chn.ranks = append(chn.ranks, rk)
-			chn.eng.AfterDaemonFunc(cfg.Timing.TREFI, c.refreshFn, rk)
+			eng.AfterDaemonFunc(cfg.Timing.TREFI, c.refreshFn, rk)
 			if cfg.LowPower {
 				c.armIdleTimer(rk)
 			}
@@ -354,10 +341,8 @@ func (c *Controller) QueueLen() int {
 // --- scheduling core ---
 
 // kick schedules a scheduling pass on the channel at time at (deduped).
-// Kicks ride the channel's engine lane: they read and write only this
-// shard's state.
-func (c *Controller) kick(chn *chanShard, at sim.Time) {
-	now := chn.eng.Now()
+func (c *Controller) kick(chn *channel, at sim.Time) {
+	now := c.eng.Now()
 	if at < now {
 		at = now
 	}
@@ -366,14 +351,14 @@ func (c *Controller) kick(chn *chanShard, at sim.Time) {
 	}
 	chn.kickAt = at
 	chn.kickSet = true
-	chn.eng.AtFunc(at, c.kickFn, chn)
+	c.eng.AtFunc(at, c.kickFn, chn)
 }
 
 // kickTick runs an armed kick event. A fired event's own time is the
 // current time, so kickAt differing from now means an earlier kick
 // superseded this one.
-func (c *Controller) kickTick(chn *chanShard) {
-	if chn.kickAt != chn.eng.Now() {
+func (c *Controller) kickTick(chn *channel) {
+	if chn.kickAt != c.eng.Now() {
 		return
 	}
 	chn.kickSet = false
@@ -383,8 +368,8 @@ func (c *Controller) kickTick(chn *chanShard) {
 // schedule issues every request whose bank and rank can accept commands
 // now (FR-FCFS order: ready row hits first, then oldest ready). When no
 // request is ready, the kick timer re-arms at the earliest readiness.
-func (c *Controller) schedule(chn *chanShard) {
-	now := chn.eng.Now()
+func (c *Controller) schedule(chn *channel) {
+	now := c.eng.Now()
 	for {
 		idx, nextAt := c.pickReady(chn, now)
 		if idx < 0 {
@@ -408,7 +393,7 @@ func (c *Controller) schedule(chn *chanShard) {
 // pickReady returns the index of the preferred issuable request — among
 // requests whose rank is awake and bank command-ready, row hits beat
 // misses and age breaks ties — or -1 plus the earliest future readiness.
-func (c *Controller) pickReady(chn *chanShard, now sim.Time) (int, sim.Time) {
+func (c *Controller) pickReady(chn *channel, now sim.Time) (int, sim.Time) {
 	best := -1
 	bestHit := false
 	var nextAt sim.Time = -1
@@ -437,9 +422,9 @@ func (c *Controller) pickReady(chn *chanShard, now sim.Time) (int, sim.Time) {
 
 // timeRequest computes (commandStart, dataStart, dataEnd) for a request
 // given current bank/rank/bus state.
-func (c *Controller) timeRequest(chn *chanShard, req *request) (sim.Time, sim.Time, sim.Time) {
+func (c *Controller) timeRequest(chn *channel, req *request) (sim.Time, sim.Time, sim.Time) {
 	t := &c.cfg.Timing
-	now := chn.eng.Now()
+	now := c.eng.Now()
 	rk := chn.ranks[req.loc.Rank]
 	b := &rk.banks[req.loc.BankGroup*c.cfg.Org.BanksPerGroup+req.loc.Bank]
 
@@ -474,11 +459,8 @@ func (c *Controller) fawGate(rk *rank) sim.Time {
 }
 
 // issue commits the request: updates bank state, bus, stats, and schedules
-// completion. It runs on the channel's lane; the completion event crosses
-// back to the global lane at data-return time, which is never sooner than
-// the lookahead registered at construction — the invariant sharded
-// execution rests on.
-func (c *Controller) issue(chn *chanShard, req *request) {
+// completion at data-return time.
+func (c *Controller) issue(chn *channel, req *request) {
 	t := &c.cfg.Timing
 	rk := chn.ranks[req.loc.Rank]
 	b := &rk.banks[req.loc.BankGroup*c.cfg.Org.BanksPerGroup+req.loc.Bank]
@@ -526,7 +508,7 @@ func (c *Controller) issue(chn *chanShard, req *request) {
 	}
 
 	c.markBusy(rk, dataEnd)
-	chn.eng.AtGlobalFunc(dataEnd, c.compFn, req)
+	c.eng.AtFunc(dataEnd, c.compFn, req)
 }
 
 // completeReq runs at a request's data-return time: it releases the
@@ -547,8 +529,8 @@ func (c *Controller) completeReq(req *request) {
 }
 
 func (c *Controller) recordAct(rk *rank) {
-	rk.sh.stats.Activations++
-	rk.actHist[rk.actIdx] = rk.sh.eng.Now()
+	rk.chn.stats.Activations++
+	rk.actHist[rk.actIdx] = c.eng.Now()
 	rk.actIdx = (rk.actIdx + 1) % len(rk.actHist)
 }
 
@@ -566,20 +548,13 @@ func maxTime3(a, b, c sim.Time) sim.Time {
 	return maxTime2(maxTime2(a, b), c)
 }
 
-func minTime2(a, b sim.Time) sim.Time {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // --- power-state policy ---
 
 // markBusy transitions the rank to active until at least busyUntil.
 // Armed idle timers need no explicit cancellation: a fired idleTick
 // re-derives liveness from the rank's state and standby-entry time.
 func (c *Controller) markBusy(rk *rank, busyUntil sim.Time) {
-	now := rk.sh.eng.Now()
+	now := c.eng.Now()
 	if rk.state != rsActive {
 		rk.res.Transition(now, rsActive)
 		rk.state = rsActive
@@ -600,7 +575,7 @@ func (c *Controller) armIdleTimer(rk *rank) {
 	if rk.pending > 0 {
 		return
 	}
-	now := rk.sh.eng.Now()
+	now := c.eng.Now()
 	if rk.state == rsActive {
 		if rk.idleSince > now {
 			// Data still on the wire: revisit at the drain time.
@@ -625,7 +600,7 @@ func (c *Controller) armIdleAt(rk *rank, at sim.Time) {
 		return
 	}
 	rk.idleArmedAt = at
-	rk.sh.eng.AtDaemonFunc(at, c.idleFn, rk)
+	c.eng.AtDaemonFunc(at, c.idleFn, rk)
 }
 
 // idleTick advances the idle descent one step. The event knows only its
@@ -636,7 +611,7 @@ func (c *Controller) idleTick(rk *rank) {
 	if rk.pending > 0 {
 		return
 	}
-	now := rk.sh.eng.Now()
+	now := c.eng.Now()
 	switch rk.state {
 	case rsActive:
 		// Deferred standby entry armed at the expected drain time.
@@ -656,8 +631,8 @@ func (c *Controller) idleTick(rk *rank) {
 }
 
 // wakeIfSleeping applies the tXP/tXS wake penalty when a request arrives at
-// a sleeping rank. Runs on the global lane (submit path) only.
-func (c *Controller) wakeIfSleeping(chn *chanShard, rk *rank) {
+// a sleeping rank.
+func (c *Controller) wakeIfSleeping(chn *channel, rk *rank) {
 	now := c.eng.Now()
 	switch rk.state {
 	case rsPowerDown:
@@ -687,9 +662,9 @@ func (c *Controller) refreshTick(rk *rank) {
 		return
 	}
 	if rk.state != rsSelfRefresh {
-		rk.sh.stats.Refreshes++
+		rk.chn.stats.Refreshes++
 		t := &c.cfg.Timing
-		start := maxTime2(rk.sh.eng.Now(), rk.awakeAt)
+		start := maxTime2(c.eng.Now(), rk.awakeAt)
 		end := start + t.TRFC
 		rk.awakeAt = end
 		for i := range rk.banks {
@@ -699,7 +674,7 @@ func (c *Controller) refreshTick(rk *rank) {
 			}
 		}
 	}
-	rk.sh.eng.AfterDaemonFunc(c.cfg.Timing.TREFI, c.refreshFn, rk)
+	c.eng.AfterDaemonFunc(c.cfg.Timing.TREFI, c.refreshFn, rk)
 }
 
 // --- GreenDIMM deep power-down control ---
@@ -748,8 +723,8 @@ func (c *Controller) Finalize() {
 	}
 }
 
-// accumulate folds another shard's counters into s (channel-index order
-// keeps merged ReadLatency percentile storage deterministic).
+// accumulate folds another channel's counters into s (channel-index
+// order keeps merged ReadLatency percentile storage deterministic).
 func (s *Stats) accumulate(o *Stats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes
@@ -762,9 +737,11 @@ func (s *Stats) accumulate(o *Stats) {
 	s.ReadLatency.MergeFrom(&o.ReadLatency)
 }
 
-// Stats returns a snapshot of event counters, merged across channel
-// shards in channel index order. The snapshot is detached: it does not
-// track later controller activity.
+// Stats returns a snapshot of event counters, merged across channels in
+// channel index order. Each channel caps its own ReadLatency samples, so
+// the merged percentiles depend on this per-channel split and order; one
+// controller-wide distribution would report different percentiles. The
+// snapshot is detached: it does not track later controller activity.
 func (c *Controller) Stats() *Stats {
 	out := &Stats{}
 	for _, ch := range c.channels {

@@ -181,7 +181,7 @@ func (d *Distribution) Add(v float64) {
 // MergeFrom folds another distribution into d: counts and sums add
 // exactly (N and Mean stay exact over the union), and o's retained
 // percentile samples are appended to d's. The result is deterministic in
-// the merge call order — the controller merges its per-channel-shard
+// the merge call order — the controller merges its per-channel
 // distributions in channel index order — and the merge ignores d's cap:
 // a merged snapshot retains at most the sum of its inputs' retained
 // samples. o is not modified.

@@ -9,11 +9,6 @@
 // parameters: a 256GB machine (eight 2R x4 32GB DIMMs) consumes ~18W idle
 // and ~26W running 16 copies of mcf, and background power dominates as
 // capacity grows (44% at 64GB to ~78% at 1TB).
-//
-// Power accounting aggregates activity across all channels, so under a
-// channel-sharded engine (sim.SetShards, DESIGN.md §10) it runs on the
-// global lane, over the controller's merged Stats() snapshot — never
-// inside a per-channel lane.
 package power
 
 import (

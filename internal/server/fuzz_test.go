@@ -11,10 +11,11 @@ import (
 // FuzzJobSpecHash probes the content-address contract the cluster layer
 // leans on: for any spec that normalizes, (1) normalization is
 // idempotent, (2) the hash of the normalized form equals the hash of the
-// original, (3) the execution knobs — Parallelism, EngineShards and
-// TimeoutSec — never change the hash, since specs differing only there
-// must share a cache entry, and (4) for legacy-named policies the bare
-// string and equivalent structured policy object hash identically.
+// original, (3) the execution knobs Parallelism and TimeoutSec, and the
+// accepted-and-ignored EngineShards field, never change the hash, since
+// specs differing only there must share a cache entry, and (4) for
+// legacy-named policies the bare string and equivalent structured
+// policy object hash identically.
 func FuzzJobSpecHash(f *testing.F) {
 	f.Add("experiment", "fig12", true, int64(7), false, false, 2.5, int64(3), 0.0, 4, 2, 12.0, "", "", "", 0.0)
 	f.Add("vmserver", "", false, int64(0), true, true, 0.25, int64(1), 0.5, 0, 0, 0.0, "removable-first", "", "", 0.0)

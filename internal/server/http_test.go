@@ -143,6 +143,42 @@ func TestE2EExperimentMatchesCLI(t *testing.T) {
 	}
 }
 
+// TestHTTPEngineShardsWireCompat pins the wire contract of the ignored
+// engine_shards field with raw JSON, the way clients send it: a spec
+// carrying it is accepted and shares the spec hash and cache entry of
+// the same spec without it, and an out-of-range value is still a 400.
+func TestHTTPEngineShardsWireCompat(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, v := postJob(t, ts, json.RawMessage(`{"kind":"experiment","experiment":{"id":"hwcost"},"engine_shards":4}`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("engine_shards 4 → %d, want 202", resp.StatusCode)
+	}
+	v = getJob(t, ts, v.ID, "?wait=60s")
+	if v.State != StateSucceeded {
+		t.Fatalf("job: %+v", v)
+	}
+
+	resp, plain := postJob(t, ts, json.RawMessage(`{"kind":"experiment","experiment":{"id":"hwcost"}}`))
+	if resp.StatusCode != http.StatusOK || !plain.Cached {
+		t.Fatalf("spec without engine_shards → %d cached=%v, want a 200 cache hit", resp.StatusCode, plain.Cached)
+	}
+	if plain.SpecHash != v.SpecHash {
+		t.Errorf("spec hash %s with engine_shards, %s without", v.SpecHash, plain.SpecHash)
+	}
+	if plain.Result == nil || plain.Result.Text != v.Result.Text {
+		t.Error("cache hit returned a different result")
+	}
+
+	resp, _ = postJob(t, ts, json.RawMessage(`{"kind":"experiment","experiment":{"id":"hwcost"},"engine_shards":17}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("engine_shards 17 → %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestE2EDeadlineAbortsEngine submits an expensive scenario with a tiny
 // deadline: the stop check hooked into the event loop must abort it.
 func TestE2EDeadlineAbortsEngine(t *testing.T) {

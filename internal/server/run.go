@@ -130,10 +130,9 @@ func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo)
 			engines = append(engines, e)
 			mu.Unlock()
 		},
-		Limiter:      limiter,
-		EngineShards: spec.EngineShards,
-		Trace:        h.Trace,
-		Progress:     h.Progress,
+		Limiter:  limiter,
+		Trace:    h.Trace,
+		Progress: h.Progress,
 	}
 	parallelism := spec.Parallelism
 	if parallelism == 0 {

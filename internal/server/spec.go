@@ -52,23 +52,18 @@ type JobSpec struct {
 	// key: specs differing only here share one cache entry.
 	Parallelism int `json:"parallelism,omitempty"`
 
-	// EngineShards, when >= 2, runs each of the job's engines with
-	// channel-sharded execution (exp.Hooks.EngineShards): per-channel
-	// event lanes fan out to workers where the memory controller's
-	// lookahead allows. Shard workers draw on the same server CPU budget
-	// as extra sweep workers, so parallelism x shards cannot
-	// oversubscribe the machine. Results are byte-identical at every
-	// setting, so — like Parallelism — this is an execution knob excluded
-	// from the cache key.
+	// EngineShards is accepted and ignored, so specs written for the
+	// removed channel-sharded engine (DESIGN.md §10) still decode under
+	// DisallowUnknownFields. Values outside [0, MaxEngineShards] are
+	// still rejected, and the field never enters the cache key.
 	EngineShards int `json:"engine_shards,omitempty"`
 }
 
 // MaxJobParallelism bounds the per-job sweep fan-out a spec may request.
 const MaxJobParallelism = 64
 
-// MaxEngineShards bounds the per-engine shard count a spec may request;
-// the paper's organizations top out at four channels, so anything beyond
-// a small multiple is waste.
+// MaxEngineShards bounds the ignored engine_shards field: it is outside
+// input, so it is still range-checked.
 const MaxEngineShards = 16
 
 // CellRangeSpec is the wire form of a sweep cell range [Lo, Hi). The

@@ -45,7 +45,7 @@ func TestSpecHashCanonicalization(t *testing.T) {
 	if mustHash(t, implicit) != mustHash(t, par) {
 		t.Error("parallelism changed the cache key")
 	}
-	// Nor the engine shard count, for the same reason.
+	// Nor the accepted-and-ignored engine_shards field.
 	sharded := implicit
 	sharded.EngineShards = 4
 	if mustHash(t, implicit) != mustHash(t, sharded) {

@@ -4,11 +4,9 @@ import (
 	"testing"
 )
 
-// The sharded merge replays schedule calls in reconstructed sequential
-// order and relies on one invariant of the base engine: events at equal
-// Time always dispatch in schedule (seq) order, through any amount of
-// free-list churn. These tests pin that invariant before anything builds
-// on it.
+// Every model's determinism rests on one invariant of the engine: events
+// at equal Time always dispatch in schedule (seq) order, through any
+// amount of free-list churn. These tests pin that invariant.
 
 // tieScript drives an engine from a byte script: each byte schedules one
 // event whose time is a small offset from a moving base (forcing heavy

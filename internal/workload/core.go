@@ -40,14 +40,6 @@ type CoreConfig struct {
 // emerges from the interplay of compute, memory latency and queueing —
 // which is how interleaving's Fig. 3a speedups and GreenDIMM's Fig. 7/11
 // overheads are measured.
-//
-// A core's accesses fan out across every channel, so under a
-// channel-sharded engine (sim.SetShards, DESIGN.md §10) cores are
-// global-lane actors: they schedule through the root engine, submit
-// through the controller's global-lane facade, and receive completions
-// back on the global lane. Their closed-loop reaction to every
-// completion is also what keeps global-lane events dense — the main
-// reason small windows revert to sequential dispatch.
 type Core struct {
 	eng     *sim.Engine
 	mem     *kernel.Mem

@@ -13,11 +13,6 @@
 #   BENCH_FILTER   -bench regex (default '.', everything) — narrow the
 #                  run when iterating on one hot path
 #   BENCH_TIME     -benchtime value (default '1x')
-#   BENCH_SHARDS   engine shard count for every simulation engine
-#                  (default 0 = sequential; 'auto' = host default,
-#                  min(4, nproc), 0 on a single-CPU host). Recorded in
-#                  the snapshot: bench_compare.sh refuses to compare
-#                  snapshots taken at different shard counts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,27 +36,11 @@ cpus=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 goversion=$(go version | sed 's/^go version //')
 
-# Resolve BENCH_SHARDS the way exp.AutoEngineShards does, so the snapshot
-# records the effective count, not the word 'auto'.
-shards="${BENCH_SHARDS:-0}"
-if [ "$shards" = auto ]; then
-    if [ "$cpus" -lt 2 ]; then
-        shards=0
-    elif [ "$cpus" -gt 4 ]; then
-        shards=4
-    else
-        shards=$cpus
-    fi
-fi
-case "$shards" in
-    ''|*[!0-9]*) echo "bench: BENCH_SHARDS must be a non-negative integer or 'auto'" >&2; exit 2 ;;
-esac
-
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-echo "==> go test -bench=$filter -benchtime=$benchtime (GREENDIMM_QUICK=1 GREENDIMM_SHARDS=$shards)"
-GREENDIMM_QUICK=1 GREENDIMM_SHARDS=$shards go test -run '^$' -bench="$filter" -benchtime="$benchtime" -benchmem ./... | tee "$raw"
+echo "==> go test -bench=$filter -benchtime=$benchtime (GREENDIMM_QUICK=1)"
+GREENDIMM_QUICK=1 go test -run '^$' -bench="$filter" -benchtime="$benchtime" -benchmem ./... | tee "$raw"
 
 # Benchmark output lines look like:
 #   BenchmarkEngineDispatchChain-8  1  14.71 ns/op  0 B/op  0 allocs/op
@@ -89,8 +68,8 @@ END {
 
 {
     printf '{\n  "rev": "%s",\n  "dirty": %s,\n  "quick": true,\n  "benchtime": "%s",\n' "$rev" "$dirty" "$benchtime"
-    printf '  "engine_shards": %s,\n  "gomaxprocs": %s,\n  "cpus": %s,\n  "go": "%s",\n' \
-        "$shards" "$gomaxprocs" "$cpus" "$goversion"
+    printf '  "gomaxprocs": %s,\n  "cpus": %s,\n  "go": "%s",\n' \
+        "$gomaxprocs" "$cpus" "$goversion"
     printf '  "benchmarks": {\n'
     cat "$raw.body"
     printf '  }\n}\n'

@@ -3,8 +3,11 @@
 # regressions on the gated hot-path benchmarks.
 #
 # Usage: scripts/bench_compare.sh [old.json new.json]
-#   With no arguments, the two most recently modified BENCH_*.json in the
-#   repo root are compared (newest = "new").
+#   With no arguments, the two newest BENCH_<rev>.json in the repo root
+#   are compared, ordered by the git ancestry of each file name's rev
+#   (file mtimes mean nothing after a checkout). Every such rev must be
+#   an ancestor of HEAD, and the older must be an ancestor of the newer;
+#   otherwise the order is undefined and the script fails.
 #
 # Environment:
 #   BENCH_GATE            regex of benchmark names to gate
@@ -22,35 +25,42 @@ if [ $# -ge 2 ]; then
     old=$1
     new=$2
 else
-    # shellcheck disable=SC2012
-    snaps=$(ls -t BENCH_*.json 2>/dev/null | head -2)
-    count=$(printf '%s\n' "$snaps" | grep -c . || true)
+    rev_of() {
+        r=${1#BENCH_}
+        echo "${r%.json}"
+    }
+    # One "<commit count> <file>" line per snapshot: the count of commits
+    # reachable from a rev orders revs that lie on one line of history.
+    ranked=""
+    for snap in BENCH_*.json; do
+        [ -e "$snap" ] || continue
+        rev=$(rev_of "$snap")
+        if ! git rev-parse -q --verify "$rev^{commit}" >/dev/null ||
+            ! git merge-base --is-ancestor "$rev" HEAD; then
+            echo "bench_compare: FATAL: $snap: rev $rev is not an ancestor of HEAD" >&2
+            exit 1
+        fi
+        ranked="$ranked$(git rev-list --count "$rev") $snap
+"
+    done
+    count=$(printf '%s' "$ranked" | grep -c . || true)
     if [ "$count" -lt 2 ]; then
         echo "bench_compare: need two BENCH_*.json snapshots in the repo root (found $count)" >&2
         exit 1
     fi
-    new=$(printf '%s\n' "$snaps" | sed -n 1p)
-    old=$(printf '%s\n' "$snaps" | sed -n 2p)
+    top=$(printf '%s' "$ranked" | sort -n -r | head -2)
+    new=$(printf '%s\n' "$top" | sed -n 1p | cut -d' ' -f2)
+    old=$(printf '%s\n' "$top" | sed -n 2p | cut -d' ' -f2)
+    # Across a merge, two ancestors of HEAD need not be ordered.
+    if ! git merge-base --is-ancestor "$(rev_of "$old")" "$(rev_of "$new")"; then
+        echo "bench_compare: FATAL: $old and $new are on different lines of history; pass old.json new.json explicitly" >&2
+        exit 1
+    fi
 fi
 
 gate="${BENCH_GATE:-Engine|MCSubmit|Dispatcher}"
 tol="${BENCH_TOLERANCE_PCT:-20}"
 strict="${BENCH_STRICT:-0}"
-
-# Snapshots taken at different engine shard counts measure different
-# execution modes — comparing them reads as a perf change that is really
-# a configuration change. Refuse outright. Snapshots predating the field
-# count as sequential (0).
-shards_of() {
-    grep -o '"engine_shards": *[0-9][0-9]*' "$1" 2>/dev/null | head -1 | grep -o '[0-9][0-9]*$' || echo 0
-}
-old_shards=$(shards_of "$old")
-new_shards=$(shards_of "$new")
-if [ "$old_shards" != "$new_shards" ]; then
-    echo "bench_compare: FATAL: engine_shards mismatch: $old has $old_shards, $new has $new_shards" >&2
-    echo "bench_compare: re-run scripts/bench.sh with matching BENCH_SHARDS before comparing" >&2
-    exit 1
-fi
 
 # A snapshot taken from a dirty working tree measures code no commit
 # identifies — the comparison may not be reproducible. Warn (not fatal:
@@ -65,7 +75,7 @@ for snap in "$old" "$new"; do
     fi
 done
 
-echo "==> bench_compare: $old -> $new (gate: $gate, tolerance: ${tol}%, engine_shards: $new_shards)"
+echo "==> bench_compare: $old -> $new (gate: $gate, tolerance: ${tol}%)"
 
 awk -v gate="$gate" -v tol="$tol" -v strict="$strict" '
 # Snapshot lines look like:
