@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -94,7 +95,7 @@ func main() {
 	default:
 		opts := exp.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
 		saveMemo := openMemoDir(*memoDir, &opts)
-		runLocalRegistry(*which, opts, *csvDir)
+		runLocalRegistry(os.Stdout, *which, opts, *csvDir)
 		saveMemo()
 	}
 }
@@ -146,8 +147,8 @@ func openMemoDir(dir string, opts *exp.Options) func() {
 }
 
 // runLocalRegistry is the classic in-process path: each experiment runs
-// on this machine's registry runner.
-func runLocalRegistry(which string, opts exp.Options, csvDir string) {
+// on this machine's registry runner, its report printed to w.
+func runLocalRegistry(w io.Writer, which string, opts exp.Options, csvDir string) {
 	experiments := exp.Registry()
 	// One memo across the whole selection: with -experiment all, figures
 	// that share baseline cells (fig12/fig13's traced day, the block
@@ -162,23 +163,23 @@ func runLocalRegistry(which string, opts exp.Options, csvDir string) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, known())
 			os.Exit(2)
 		}
-		fmt.Printf("=== %s ===\n", id)
+		fmt.Fprintf(w, "=== %s ===\n", id)
 		tables, series, err := fn(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
 		for ti, t := range tables {
-			fmt.Println(t)
+			fmt.Fprintln(w, t)
 			if err := maybeCSV(csvDir, id, ti, t); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 		}
 		for _, s := range series {
-			fmt.Printf("  %-10s %s\n", s.Name, s.Sparkline(64))
+			fmt.Fprintf(w, "  %-10s %s\n", s.Name, s.Sparkline(64))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 

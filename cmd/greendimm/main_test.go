@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"greendimm/internal/exp"
 	"greendimm/internal/report"
 	"greendimm/internal/server"
+	"greendimm/internal/store"
+	"greendimm/internal/sweep"
 )
 
 func TestWriteCSV(t *testing.T) {
@@ -75,5 +79,47 @@ func TestLoadSpecsAcceptsEngineShards(t *testing.T) {
 	}
 	if _, err := server.SpecHash(load("bad.json", `{"kind":"experiment","experiment":{"id":"hwcost"},"engine_shards":17}`)); err == nil {
 		t.Error("engine_shards 17 passed validation")
+	}
+}
+
+// TestMemoDirWarmsSecondRun drives the -memo-dir path: the first run on
+// an empty directory computes its baseline cells and saves them; the
+// second imports them, computes nothing, and prints the same report.
+func TestMemoDirWarmsSecondRun(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (string, *sweep.Memo) {
+		opts := exp.Options{Quick: true, Seed: 1, Parallelism: 2}
+		save := openMemoDir(dir, &opts)
+		var out bytes.Buffer
+		runLocalRegistry(&out, "fig8", opts, "")
+		save()
+		return out.String(), opts.Memo
+	}
+
+	cold, memo := run()
+	if memo.Computes() == 0 {
+		t.Fatal("cold run computed no memo entries")
+	}
+	ml, err := store.OpenMemoLog(dir, store.MemoLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := ml.Len()
+	if err := ml.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if saved == 0 {
+		t.Fatal("cold run saved nothing to the memo directory")
+	}
+
+	warm, memo := run()
+	if n := memo.Computes(); n != 0 {
+		t.Fatalf("warm run computed %d memo entries, want 0", n)
+	}
+	if n := memo.Imports(); n != int64(saved) {
+		t.Fatalf("warm run imported %d entries, want the %d saved", n, saved)
+	}
+	if warm != cold {
+		t.Fatalf("warm report differs from the cold one:\n%s\nvs\n%s", warm, cold)
 	}
 }

@@ -242,15 +242,11 @@ func ablateIdlePolicy(opts Options) (*report.Table, error) {
 		g := sim.NewRNG(opts.Seed + 9)
 		footprint := uint64(256 << 20)
 		horizon := opts.horizon(20 * sim.Millisecond)
-		var totalLat sim.Time
-		var n int64
+		var lat latencySum
 		var tick func()
 		tick = func() {
 			a := (g.Uint64() % footprint) &^ 63
-			_ = ctrl.Submit(a, false, func(l sim.Time) {
-				totalLat += l
-				n++
-			})
+			_ = ctrl.SubmitCall(a, false, &lat, 0)
 			if eng.Now() < horizon {
 				eng.After(3*sim.Microsecond, tick)
 			}
@@ -259,8 +255,8 @@ func ablateIdlePolicy(opts Options) (*report.Table, error) {
 		eng.Run()
 		ctrl.Finalize()
 		avg := 0.0
-		if n > 0 {
-			avg = (totalLat / sim.Time(n)).Nanoseconds()
+		if lat.n > 0 {
+			avg = (lat.total / sim.Time(lat.n)).Nanoseconds()
 		}
 		outs[i] = polOut{srFrac: ctrl.SelfRefreshFraction(), wakeups: ctrl.Stats().WakeUps, avgLat: avg}
 		return nil
@@ -274,6 +270,17 @@ func ablateIdlePolicy(opts Options) (*report.Table, error) {
 		t.AddRow(p.name, outs[i].srFrac, float64(outs[i].wakeups), outs[i].avgLat)
 	}
 	return t, nil
+}
+
+// latencySum is an mc.Completer that totals request latencies.
+type latencySum struct {
+	total sim.Time
+	n     int64
+}
+
+func (s *latencySum) Complete(_ uint64, lat sim.Time) {
+	s.total += lat
+	s.n++
 }
 
 // String renders every ablation table.

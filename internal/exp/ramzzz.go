@@ -99,7 +99,7 @@ func runRAMZzzCell(interleaved, withDaemon bool, opts Options) (RAMZzzRow, error
 		n := mem.OwnerPageCount(owner)
 		pfn := mem.OwnerPage(owner, g.Int63n(n))
 		off := uint64(g.Int63n(mem.PageBytes()/64) * 64)
-		_ = ctrl.Submit(uint64(pfn)*uint64(mem.PageBytes())+off, false, nil)
+		_ = ctrl.SubmitCall(uint64(pfn)*uint64(mem.PageBytes())+off, false, nil, 0)
 		if eng.Now() < horizon {
 			eng.After(1*sim.Microsecond, tick)
 		}

@@ -39,6 +39,16 @@ type MemoFetchResponse struct {
 // under this bound; a request beyond it is rejected as invalid.
 const MaxMemoFetchKeys = 4096
 
+// maxMemoKeyBytes bounds one key as a fetch body carries it, quotes and
+// separator included. The longest key exp.PredictKeys emits is about
+// 1.3 KB (a dynamics key rendering a 29-phase profile); the rest is
+// headroom for wider seeds. TestMemoFetchBodyBound pins the margin.
+const maxMemoKeyBytes = 2048
+
+// maxMemoFetchBody bounds a POST /v1/memo/entries body, so an oversized
+// request is cut off while it is read instead of after it is decoded.
+const maxMemoFetchBody = MaxMemoFetchKeys * maxMemoKeyBytes
+
 // handleMemoKeys serves GET /v1/memo/keys. A daemon without a memo
 // answers an empty digest, not an error: to the exchange protocol it is
 // simply a peer with nothing warm.
@@ -53,7 +63,8 @@ func (s *Server) handleMemoKeys(w http.ResponseWriter, r *http.Request) {
 // handleMemoFetch serves POST /v1/memo/entries.
 func (s *Server) handleMemoFetch(w http.ResponseWriter, r *http.Request) {
 	var req MemoFetchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxMemoFetchBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "decoding memo fetch request: "+err.Error(), 0)
 		return
 	}
@@ -61,6 +72,11 @@ func (s *Server) handleMemoFetch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec,
 			fmt.Sprintf("fetch of %d keys exceeds the %d-key bound", len(req.Keys), MaxMemoFetchKeys), 0)
 		return
+	}
+	if req.Keys == nil {
+		// A body without a key list asks for nothing; Export(nil) would
+		// dump the whole memo past the key bound.
+		req.Keys = []string{}
 	}
 	entries := s.cfg.Memo.Export(req.Keys) // nil-safe
 	if entries == nil {

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -224,4 +226,158 @@ func TestPredictMemoKeysSpecs(t *testing.T) {
 	if err == nil || none != nil {
 		t.Fatalf("invalid-range prediction = %v, %v; want nil keys and an error", none, err)
 	}
+}
+
+// TestCorruptMemoSnapshotStartsCold: the memo log is a cache whose
+// contents never change a result, so a torn memo snapshot must not keep
+// the daemon down. It boots cold and serves the same report as a clean
+// daemon.
+func TestCorruptMemoSnapshotStartsCold(t *testing.T) {
+	clean, err := Open(Config{Workers: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runToSuccess(t, clean, fig8QuickPar(1))
+	shutdownServer(t, clean)
+
+	dir := t.TempDir()
+	memoDir := filepath.Join(dir, "memo")
+	if err := os.MkdirAll(memoDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	torn := `{"seq":12,"v":1,"entries":[{"key":"timing|x","val`
+	if err := os.WriteFile(filepath.Join(memoDir, "snapshot.json"), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Workers: 1, QueueDepth: 4, StoreDir: dir})
+	if err != nil {
+		t.Fatalf("Open with a corrupt memo snapshot: %v", err)
+	}
+	defer shutdownServer(t, s)
+	if n := s.MemoImported(); n != 0 {
+		t.Fatalf("MemoImported = %d from a corrupt snapshot, want 0", n)
+	}
+	got := runToSuccess(t, s, fig8QuickPar(1))
+	if got.Result == nil || got.Result.Text != want.Result.Text {
+		t.Fatal("report after a cold memo start diverged from a clean daemon's")
+	}
+}
+
+// TestMemoFetchBodyBound pins the fetch body bound to the keys the
+// cluster really asks for: a request for MaxMemoFetchKeys copies of the
+// longest key PredictKeys emits (at the widest seed) is served, and a
+// body one byte past the bound is rejected as invalid_spec.
+func TestMemoFetchBodyBound(t *testing.T) {
+	var longest string
+	for _, id := range exp.ShardableExperiments() {
+		for _, o := range []exp.Options{{Quick: true, Seed: 1}, {Seed: math.MinInt64}} {
+			n, err := exp.CellCount(id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := exp.PredictKeys(id, o, 0, n)
+			if err != nil {
+				t.Fatalf("PredictKeys(%s): %v", id, err)
+			}
+			for _, k := range keys {
+				if len(k) > len(longest) {
+					longest = k
+				}
+			}
+		}
+	}
+	quoted, _ := json.Marshal(longest)
+	if len(quoted)+1 > maxMemoKeyBytes {
+		t.Fatalf("longest predicted key takes %d bytes in a fetch body, over the %d-byte bound", len(quoted)+1, maxMemoKeyBytes)
+	}
+
+	s, err := Open(Config{Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s)
+	h := s.Handler()
+	keys := make([]string, MaxMemoFetchKeys)
+	for i := range keys {
+		keys[i] = longest
+	}
+	body, _ := json.Marshal(MemoFetchRequest{Keys: keys})
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/memo/entries", bytes.NewReader(body)))
+	if rr.Code != 200 {
+		t.Fatalf("largest legitimate fetch (%d bytes) = %d: %.200s", len(body), rr.Code, rr.Body.String())
+	}
+
+	over := `{"keys":["` + strings.Repeat("k", maxMemoFetchBody) + `"]}`
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/memo/entries", strings.NewReader(over)))
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || rr.Code != 400 || env.Error.Code != CodeInvalidSpec {
+		t.Fatalf("over-bound body = %d %q (%v), want 400 %s", rr.Code, env.Error.Code, err, CodeInvalidSpec)
+	}
+}
+
+// FuzzMemoFetchBody probes POST /v1/memo/entries with arbitrary bodies.
+// The handler never panics and answers either 200, with entries only
+// for keys the request named, or 400 invalid_spec.
+func FuzzMemoFetchBody(f *testing.F) {
+	s, err := Open(Config{Workers: 1, QueueDepth: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	raw, ok := exp.MemoCodec().Encode("timing|fuzz", exp.TimingRun{})
+	if !ok {
+		f.Fatal("codec declined a zero timing run")
+	}
+	if s.Memo().Import([]sweep.Entry{{V: sweep.EntryVersion, Key: "timing|fuzz", Value: raw}}) != 1 {
+		f.Fatal("seed entry not imported")
+	}
+	h := s.Handler()
+
+	f.Add([]byte(`{"keys":["timing|fuzz"]}`))
+	f.Add([]byte(`{"keys":["timing|fuzz","timing|fuzz","vmday|absent"]}`))
+	f.Add([]byte(`{"keys":[]}`))
+	f.Add([]byte(`{"keys":null}`))
+	f.Add([]byte(`{"keys":[1]}`))
+	f.Add([]byte(`{"keys":["timing|fuzz"]} trailing`))
+	f.Add([]byte(`{not json`))
+	f.Add([]byte{})
+	over, _ := json.Marshal(MemoFetchRequest{Keys: make([]string, MaxMemoFetchKeys+1)})
+	f.Add(over)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/memo/entries", bytes.NewReader(body)))
+		switch rr.Code {
+		case 200:
+			var req MemoFetchRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("served a body that does not decode: %v", err)
+			}
+			asked := map[string]bool{}
+			for _, k := range req.Keys {
+				asked[k] = true
+			}
+			var resp MemoFetchResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 response does not decode: %v", err)
+			}
+			for _, e := range resp.Entries {
+				if !asked[e.Key] {
+					t.Fatalf("served entry %q the request did not name", e.Key)
+				}
+			}
+		case 400:
+			var env ErrorEnvelope
+			if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error.Code != CodeInvalidSpec {
+				t.Fatalf("400 envelope = %s (%v), want code %s", rr.Body.String(), err, CodeInvalidSpec)
+			}
+		default:
+			t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+		}
+	})
 }

@@ -13,7 +13,8 @@ import (
 // FuzzCheckLine probes the "<crc8hex> <json>" line framing that the job
 // journal and the memo log share through checkLine:
 //
-//  1. checkLine and decodeLine never panic, whatever the bytes;
+//  1. checkLine, and both journals' decoders on the body it accepts,
+//     never panic, whatever the bytes;
 //  2. an accepted line's body is everything after the ninth byte, and
 //     its CRC-32 is the value the header names;
 //  3. checkLine returns body for every encodeLine(body) with its newline
@@ -35,8 +36,9 @@ func FuzzCheckLine(f *testing.F) {
 	f.Add([]byte("0000000"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, line []byte) {
-		decodeLine(line)
 		if body, ok := checkLine(line); ok {
+			(&Store{}).decode(body)
+			(&MemoLog{}).decode(body)
 			if !bytes.Equal(body, line[9:]) {
 				t.Fatalf("accepted %q but returned body %q", line, body)
 			}

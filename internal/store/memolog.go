@@ -1,43 +1,30 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 )
 
-// MemoLog is the durable side of the sweep memo: an append-only journal
-// of (key, canonical JSON value) memo entries under its own directory —
-// greendimmd uses <store-dir>/memo/ — using the same WAL + atomic-rename
-// snapshot discipline as the job journal (see the package comment), so a
-// daemon that crashed or restarted reopens the log and boots with its
-// baseline cells warm instead of recomputing them.
+// MemoLog is the durable side of the sweep memo: a journal of (key,
+// canonical JSON value) memo entries under its own directory —
+// greendimmd uses <store-dir>/memo/ — on the same log as the job
+// journal (see the package comment), so a daemon that crashed or
+// restarted reopens the log and boots with its baseline cells warm
+// instead of recomputing them.
 //
 // The log stores opaque versioned entries; it does not decode values or
 // know key families. Verification happens above it on both sides:
 // sweep.Memo.Import runs every replayed entry through the experiment
 // codec (strict decode + re-marshal byte equality) before trusting it,
 // so a corrupt or stale log entry degrades to recomputation, never to a
-// divergent result.
-//
-// Layout in dir: wal.log (one "<crc32-hex8> <json>\n" memoWALEntry per
-// line, monotone seq) and snapshot.json ({seq, entries}). Recovery
-// matches the job journal: load snapshot, replay WAL entries with
-// higher seq, truncate the first torn or corrupt tail line.
+// divergent result. For the same reason a snapshot the log cannot use
+// starts it cold instead of failing the open.
 type MemoLog struct {
-	dir  string
 	opts MemoLogOptions
 
 	mu      sync.Mutex
-	wal     *os.File
-	seq     uint64
-	pending int
-	vals    map[string]json.RawMessage
-	order   []string // key insertion order (oldest first)
-	stats   MemoLogStats
+	log     *wal[*memoWALEntry]
+	entries orderedCells
 }
 
 // MemoLogOptions tunes a MemoLog. Zero values take defaults.
@@ -50,8 +37,6 @@ type MemoLogOptions struct {
 	// time the oldest entries beyond the bound are dropped — the disk
 	// analogue of the memo's LRU cap, and equally result-neutral.
 	MaxEntries int
-	// NoSync skips the per-append fsync — for tests that hammer the WAL.
-	NoSync bool
 }
 
 func (o MemoLogOptions) withDefaults() MemoLogOptions {
@@ -66,11 +51,8 @@ func (o MemoLogOptions) withDefaults() MemoLogOptions {
 
 // MemoLogStats is one consistent read of the log's accounting.
 type MemoLogStats struct {
-	Entries       int
-	Appends       int64
-	Snapshots     int64
-	Replayed      int64
-	TruncatedTail bool
+	Entries int
+	LogStats
 }
 
 // memoLogVersion is the entry format version journaled with every
@@ -86,6 +68,8 @@ type memoWALEntry struct {
 	Value json.RawMessage `json:"value"`
 }
 
+func (e *memoWALEntry) setSeq(seq uint64) { e.Seq = seq }
+
 // memoSnapshotFile is the on-disk snapshot shape.
 type memoSnapshotFile struct {
 	Seq     uint64 `json:"seq"`
@@ -96,105 +80,54 @@ type memoSnapshotFile struct {
 // OpenMemoLog loads (or initializes) the memo log in dir.
 func OpenMemoLog(dir string, opts MemoLogOptions) (*MemoLog, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: memo log: %w", err)
-	}
-	l := &MemoLog{
-		dir:  dir,
-		opts: opts,
-		vals: make(map[string]json.RawMessage),
-	}
-	if err := l.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := l.replayWAL(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(l.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l := &MemoLog{opts: opts}
+	log, err := openWAL[*memoWALEntry]("store: memo log", dir, opts.SnapshotEvery, l)
 	if err != nil {
-		return nil, fmt.Errorf("store: memo log: %w", err)
+		return nil, err
 	}
-	l.wal = f
+	l.log = log
 	return l, nil
 }
 
-func (l *MemoLog) walPath() string  { return filepath.Join(l.dir, "wal.log") }
-func (l *MemoLog) snapPath() string { return filepath.Join(l.dir, "snapshot.json") }
-
-func (l *MemoLog) loadSnapshot() error {
-	b, err := os.ReadFile(l.snapPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: memo log: reading snapshot: %w", err)
-	}
+// restore installs a snapshot. One from another format version keeps
+// only its seq, and one that does not decode is ignored: either way the
+// log starts cold, still replays its WAL, and its next compaction
+// overwrites the file.
+func (l *MemoLog) restore(b []byte) (uint64, error) {
 	var snap memoSnapshotFile
 	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("store: memo log: corrupt snapshot: %w", err)
+		return 0, nil
 	}
-	l.seq = snap.Seq
-	if snap.V != memoLogVersion {
-		return nil // future or foreign format: start cold, keep the seq
-	}
-	for _, c := range snap.Entries {
-		if _, ok := l.vals[c.Key]; !ok {
-			l.vals[c.Key] = c.Value
-			l.order = append(l.order, c.Key)
+	if snap.V == memoLogVersion {
+		for _, c := range snap.Entries {
+			l.entries.add(c.Key, c.Value)
 		}
 	}
-	return nil
+	return snap.Seq, nil
 }
 
-func (l *MemoLog) replayWAL() error {
-	b, err := os.ReadFile(l.walPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: memo log: reading wal: %w", err)
-	}
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		if nl < 0 {
-			break // torn tail: no newline
-		}
-		body, ok := checkLine(b[off : off+nl])
-		if !ok {
-			break // corrupt from here on; cut the tail
-		}
-		var e memoWALEntry
-		if err := json.Unmarshal(body, &e); err != nil {
-			break
-		}
-		if e.Seq > l.seq {
-			if e.V == memoLogVersion {
-				l.apply(e.Key, e.Value)
-				l.stats.Replayed++
-			}
-			l.seq = e.Seq
-		}
-		off += nl + 1
-	}
-	if off < len(b) {
-		l.stats.TruncatedTail = true
-		if err := os.Truncate(l.walPath(), int64(off)); err != nil {
-			return fmt.Errorf("store: memo log: truncating torn wal tail: %w", err)
-		}
-	}
-	return nil
+func (l *MemoLog) decode(body []byte) (uint64, *memoWALEntry, error) {
+	e := new(memoWALEntry)
+	err := json.Unmarshal(body, e)
+	return e.Seq, e, err
 }
 
-// apply installs one entry in memory; first write of a key wins (memo
-// values are deterministic, so duplicates agree). Caller holds mu or is
-// single-threaded replay.
-func (l *MemoLog) apply(key string, value json.RawMessage) {
-	if _, ok := l.vals[key]; ok {
-		return
+// apply installs one entry unless it is from another format version;
+// the first write of a key wins. Caller holds mu or is single-threaded
+// replay.
+func (l *MemoLog) apply(e *memoWALEntry) {
+	if e.V == memoLogVersion {
+		l.entries.add(e.Key, e.Value)
 	}
-	l.vals[key] = value
-	l.order = append(l.order, key)
+}
+
+// snapshot drops the oldest entries beyond MaxEntries and returns the
+// rest as the snapshot at seq. Caller holds mu.
+func (l *MemoLog) snapshot(seq uint64) any {
+	if excess := len(l.entries.order) - l.opts.MaxEntries; excess > 0 {
+		l.entries.dropOldest(excess)
+	}
+	return memoSnapshotFile{Seq: seq, V: memoLogVersion, Entries: l.entries.list()}
 }
 
 // Put journals one memo entry. A key already present is skipped without
@@ -203,66 +136,10 @@ func (l *MemoLog) apply(key string, value json.RawMessage) {
 func (l *MemoLog) Put(key string, value json.RawMessage) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.wal == nil {
-		return fmt.Errorf("store: memo log: closed")
-	}
-	if _, ok := l.vals[key]; ok {
+	if l.entries.has(key) {
 		return nil
 	}
-	l.seq++
-	e := memoWALEntry{Seq: l.seq, V: memoLogVersion, Key: key, Value: compactJSON(value)}
-	body, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("store: memo log: encoding wal entry: %w", err)
-	}
-	if _, err := l.wal.WriteString(encodeLine(body)); err != nil {
-		return fmt.Errorf("store: memo log: appending wal: %w", err)
-	}
-	if !l.opts.NoSync {
-		if err := l.wal.Sync(); err != nil {
-			return fmt.Errorf("store: memo log: syncing wal: %w", err)
-		}
-	}
-	l.apply(e.Key, e.Value)
-	l.stats.Appends++
-	l.pending++
-	if l.pending >= l.opts.SnapshotEvery {
-		return l.snapshot()
-	}
-	return nil
-}
-
-// snapshot writes the retained entries to snapshot.json (temp file +
-// atomic rename), pruning the oldest beyond MaxEntries first, then
-// truncates the WAL. Caller holds mu.
-func (l *MemoLog) snapshot() error {
-	if excess := len(l.order) - l.opts.MaxEntries; excess > 0 {
-		for _, k := range l.order[:excess] {
-			delete(l.vals, k)
-		}
-		l.order = append([]string(nil), l.order[excess:]...)
-	}
-	snap := memoSnapshotFile{Seq: l.seq, V: memoLogVersion}
-	for _, k := range l.order {
-		snap.Entries = append(snap.Entries, Cell{Key: k, Value: l.vals[k]})
-	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: memo log: encoding snapshot: %w", err)
-	}
-	tmp := l.snapPath() + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("store: memo log: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, l.snapPath()); err != nil {
-		return fmt.Errorf("store: memo log: publishing snapshot: %w", err)
-	}
-	if err := l.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: memo log: truncating wal: %w", err)
-	}
-	l.pending = 0
-	l.stats.Snapshots++
-	return nil
+	return l.log.append(&memoWALEntry{V: memoLogVersion, Key: key, Value: compactJSON(value)})
 }
 
 // Entries returns every retained entry in insertion order (oldest
@@ -271,37 +148,26 @@ func (l *MemoLog) snapshot() error {
 func (l *MemoLog) Entries() []Cell {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Cell, 0, len(l.order))
-	for _, k := range l.order {
-		out = append(out, Cell{Key: k, Value: l.vals[k]})
-	}
-	return out
+	return l.entries.list()
 }
 
 // Len reports the number of retained entries.
 func (l *MemoLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.vals)
+	return len(l.entries.order)
 }
 
 // Stats returns one consistent read of the log's accounting.
 func (l *MemoLog) Stats() MemoLogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.stats
-	st.Entries = len(l.vals)
-	return st
+	return MemoLogStats{Entries: len(l.entries.order), LogStats: l.log.stats}
 }
 
-// Close releases the WAL file handle. Further Puts fail.
+// Close releases the WAL file handle. Further Puts of new keys fail.
 func (l *MemoLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.wal == nil {
-		return nil
-	}
-	err := l.wal.Close()
-	l.wal = nil
-	return err
+	return l.log.close()
 }

@@ -10,7 +10,6 @@ import (
 
 func openTestMemoLog(t *testing.T, dir string, opts MemoLogOptions) *MemoLog {
 	t.Helper()
-	opts.NoSync = true
 	l, err := OpenMemoLog(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,75 +64,6 @@ func TestMemoLogDuplicateKeySkipped(t *testing.T) {
 	}
 }
 
-func TestMemoLogTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestMemoLog(t, dir, MemoLogOptions{})
-	for i := 0; i < 3; i++ {
-		if err := l.Put(fmt.Sprintf("k%d", i), json.RawMessage(`0`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	// Simulate a crash mid-append: garbage with no trailing newline.
-	wal := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("deadbeef {\"torn"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	r := openTestMemoLog(t, dir, MemoLogOptions{})
-	defer r.Close()
-	if r.Len() != 3 {
-		t.Fatalf("recovered %d entries, want 3 (torn tail dropped)", r.Len())
-	}
-	if st := r.Stats(); !st.TruncatedTail {
-		t.Fatal("TruncatedTail not reported")
-	}
-	// The tail is physically gone: appending works and a further reopen is clean.
-	if err := r.Put("k3", json.RawMessage(`3`)); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	r2 := openTestMemoLog(t, dir, MemoLogOptions{})
-	defer r2.Close()
-	if r2.Len() != 4 || r2.Stats().TruncatedTail {
-		t.Fatalf("after truncation repair: Len=%d TruncatedTail=%v, want 4 and false", r2.Len(), r2.Stats().TruncatedTail)
-	}
-}
-
-func TestMemoLogSnapshotCompactsAndPrunes(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestMemoLog(t, dir, MemoLogOptions{SnapshotEvery: 4, MaxEntries: 6})
-	for i := 0; i < 12; i++ {
-		if err := l.Put(fmt.Sprintf("k%02d", i), json.RawMessage(`0`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.Snapshots != 3 {
-		t.Fatalf("Snapshots = %d, want 3 (every 4 appends)", st.Snapshots)
-	}
-	if l.Len() != 6 {
-		t.Fatalf("Len = %d, want 6 (MaxEntries prune)", l.Len())
-	}
-	// The survivors are the newest keys, still oldest-first.
-	ents := l.Entries()
-	if ents[0].Key != "k06" || ents[len(ents)-1].Key != "k11" {
-		t.Fatalf("pruned window = [%s..%s], want [k06..k11]", ents[0].Key, ents[len(ents)-1].Key)
-	}
-	l.Close()
-	// Snapshot is the recovery source after compaction.
-	r := openTestMemoLog(t, dir, MemoLogOptions{})
-	defer r.Close()
-	if r.Len() != 6 {
-		t.Fatalf("recovered %d entries after compaction, want 6", r.Len())
-	}
-}
-
 func TestMemoLogSkipsForeignVersionRecords(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestMemoLog(t, dir, MemoLogOptions{})
@@ -166,13 +96,5 @@ func TestMemoLogSkipsForeignVersionRecords(t *testing.T) {
 	defer r2.Close()
 	if r2.Len() != 2 {
 		t.Fatalf("Len = %d after foreign-version skip + append, want 2", r2.Len())
-	}
-}
-
-func TestMemoLogClosedPutFails(t *testing.T) {
-	l := openTestMemoLog(t, t.TempDir(), MemoLogOptions{})
-	l.Close()
-	if err := l.Put("k", json.RawMessage(`1`)); err == nil {
-		t.Fatal("Put on closed log succeeded")
 	}
 }

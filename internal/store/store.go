@@ -1,27 +1,21 @@
-// Package store is greendimmd's durable job journal: a write-ahead log
-// plus periodic snapshot that records, per content-addressed spec hash
-// (server.SpecHash), the job's lifecycle state, its shard plan and
-// completed cell ranges, and every completed sweep-cell artifact. It is
-// what lets queued and running jobs survive a daemon restart, and lets
-// a resubmitted identical spec resume from its completed cells instead
-// of recomputing them.
+// Package store holds greendimmd's two durable journals, each a small
+// state machine over one shared write-ahead log plus snapshot (wal.go):
 //
-// Layout on disk, under one directory:
+//   - Store, the job journal, records per content-addressed spec hash
+//     (server.SpecHash) the job's lifecycle state, its shard plan and
+//     completed cell ranges, and every completed sweep-cell artifact. It
+//     is what lets queued and running jobs survive a daemon restart, and
+//     lets a resubmitted identical spec resume from its completed cells
+//     instead of recomputing them.
+//   - MemoLog, the memo journal, records memo entries by key alone, so a
+//     restarted daemon boots with its baseline cells warm.
 //
-//	wal.log        append-only records, one per line:
-//	               "<crc32-hex8> <json>\n" where the JSON is a walEntry
-//	               carrying a monotonically increasing seq
-//	snapshot.json  the full state as of some seq; written to a temp
-//	               file and atomically renamed, after which the WAL is
-//	               truncated
-//
-// Recovery protocol (Open): load the snapshot if present, then replay
-// WAL entries with seq greater than the snapshot's. The replay stops at
-// the first corrupt or torn line — a crash mid-append leaves at most
-// one partial record at the tail — and truncates the file there, so the
-// next append continues from a clean state. Because the snapshot rename
-// is atomic and the WAL truncate happens after it, a crash between the
-// two merely leaves stale low-seq entries that the seq filter skips.
+// Each journal owns one directory holding wal.log (one CRC-framed JSON
+// entry per line, with a monotonically increasing seq) and
+// snapshot.json (the full state as of some seq). Recovery loads the
+// snapshot, replays the WAL entries past its seq, and cuts the WAL at
+// the first torn or corrupt line; compaction writes a new snapshot and
+// then truncates the WAL. The wal type documents the crash-safe order.
 //
 // The store knows nothing about specs or simulation: specs are opaque
 // JSON, cells are opaque (key, JSON value) pairs whose keys are the
@@ -30,12 +24,8 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
 )
 
@@ -92,8 +82,6 @@ type Options struct {
 	// the oldest terminal records (and their cells) are dropped.
 	// Non-terminal records are never dropped.
 	MaxSpecs int
-	// NoSync skips the per-append fsync — for tests that hammer the WAL.
-	NoSync bool
 }
 
 func (o Options) withDefaults() Options {
@@ -111,14 +99,7 @@ type Stats struct {
 	// Specs and Cells count retained records and artifacts.
 	Specs int
 	Cells int
-	// Appends counts WAL records written by this process; Snapshots
-	// counts compactions.
-	Appends   int64
-	Snapshots int64
-	// Replayed counts WAL records applied at Open; TruncatedTail is set
-	// when Open cut a torn or corrupt tail off the WAL.
-	Replayed      int64
-	TruncatedTail bool
+	LogStats
 }
 
 // record is the internal mutable form.
@@ -130,8 +111,7 @@ type record struct {
 	total   int
 	planned [][2]int
 	done    [][2]int
-	cells   map[string]json.RawMessage
-	order   []string // cell insertion order
+	cells   orderedCells
 }
 
 func (r *record) view() Record {
@@ -143,7 +123,7 @@ func (r *record) view() Record {
 		Total:     r.total,
 		Planned:   append([][2]int(nil), r.planned...),
 		Done:      append([][2]int(nil), r.done...),
-		CellCount: len(r.cells),
+		CellCount: len(r.cells.order),
 	}
 }
 
@@ -164,6 +144,8 @@ type walEntry struct {
 	Value  json.RawMessage `json:"value,omitempty"`  // cell
 }
 
+func (e *walEntry) setSeq(seq uint64) { e.Seq = seq }
+
 // snapshotFile is the on-disk snapshot shape.
 type snapshotFile struct {
 	Seq     uint64       `json:"seq"`
@@ -175,64 +157,38 @@ type snapRecord struct {
 	Cells []Cell `json:"cells,omitempty"`
 }
 
-// Store is the durable journal. All methods are safe for concurrent
+// Store is the durable job journal. All methods are safe for concurrent
 // use; appends are serialized and synced before returning.
 type Store struct {
-	dir  string
 	opts Options
 
-	mu      sync.Mutex
-	wal     *os.File
-	seq     uint64
-	pending int // appends since last snapshot
-	recs    map[string]*record
-	order   []string // accept order of hashes
-	stats   Stats
+	mu    sync.Mutex
+	log   *wal[*walEntry]
+	recs  map[string]*record
+	order []string // accept order of hashes
 }
 
-// Open loads (or initializes) the store in dir, applying the recovery
-// protocol described in the package comment.
+// Open loads (or initializes) the store in dir, recovering its state
+// from the snapshot and WAL found there.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{
-		dir:  dir,
-		opts: opts,
-		recs: make(map[string]*record),
-	}
-	if err := s.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := s.replayWAL(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s := &Store{opts: opts, recs: make(map[string]*record)}
+	log, err := openWAL[*walEntry]("store", dir, opts.SnapshotEvery, s)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
-	s.wal = f
+	s.log = log
 	return s, nil
 }
 
-func (s *Store) walPath() string  { return filepath.Join(s.dir, "wal.log") }
-func (s *Store) snapPath() string { return filepath.Join(s.dir, "snapshot.json") }
-
-// loadSnapshot applies snapshot.json if present.
-func (s *Store) loadSnapshot() error {
-	b, err := os.ReadFile(s.snapPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: reading snapshot: %w", err)
-	}
+// restore installs a snapshot. A job snapshot that does not decode
+// fails Open: unlike the memo, the journal is the only record of which
+// jobs were in flight.
+func (s *Store) restore(b []byte) (uint64, error) {
 	var snap snapshotFile
 	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("store: corrupt snapshot: %w", err)
+		return 0, err
 	}
-	s.seq = snap.Seq
 	for _, sr := range snap.Records {
 		r := &record{
 			hash:    sr.Hash,
@@ -242,101 +198,30 @@ func (s *Store) loadSnapshot() error {
 			total:   sr.Total,
 			planned: sr.Planned,
 			done:    sr.Done,
-			cells:   make(map[string]json.RawMessage, len(sr.Cells)),
 		}
 		for _, c := range sr.Cells {
-			if _, ok := r.cells[c.Key]; !ok {
-				r.cells[c.Key] = c.Value
-				r.order = append(r.order, c.Key)
-			}
+			r.cells.add(c.Key, c.Value)
 		}
 		s.recs[sr.Hash] = r
 		s.order = append(s.order, sr.Hash)
 	}
-	return nil
+	return snap.Seq, nil
 }
 
-// replayWAL applies WAL entries past the snapshot seq, truncating the
-// file at the first torn or corrupt line.
-func (s *Store) replayWAL() error {
-	b, err := os.ReadFile(s.walPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: reading wal: %w", err)
-	}
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		if nl < 0 {
-			break // torn tail: no newline
-		}
-		line := b[off : off+nl]
-		e, ok := decodeLine(line)
-		if !ok {
-			break // corrupt from here on; cut the tail
-		}
-		if e.Seq > s.seq {
-			s.apply(e)
-			s.seq = e.Seq
-			s.stats.Replayed++
-		}
-		off += nl + 1
-	}
-	if off < len(b) {
-		s.stats.TruncatedTail = true
-		if err := os.Truncate(s.walPath(), int64(off)); err != nil {
-			return fmt.Errorf("store: truncating torn wal tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// decodeLine parses "<crc8hex> <json>" and verifies the checksum.
-func decodeLine(line []byte) (walEntry, bool) {
-	var e walEntry
-	body, ok := checkLine(line)
-	if !ok {
-		return e, false
-	}
-	if err := json.Unmarshal(body, &e); err != nil {
-		return e, false
-	}
-	return e, true
-}
-
-// checkLine validates one WAL line's "<crc8hex> <json>" framing and
-// checksum, returning the JSON body. Shared by the job journal and the
-// memo log so both speak the identical on-disk record format.
-func checkLine(line []byte) ([]byte, bool) {
-	if len(line) < 10 || line[8] != ' ' {
-		return nil, false
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
-		return nil, false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, false
-	}
-	return body, true
-}
-
-// encodeLine frames a JSON body as one checksummed WAL line.
-func encodeLine(body []byte) string {
-	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
+func (s *Store) decode(body []byte) (uint64, *walEntry, error) {
+	e := new(walEntry)
+	err := json.Unmarshal(body, e)
+	return e.Seq, e, err
 }
 
 // apply mutates in-memory state with one entry. Caller holds mu (or is
 // single-threaded replay).
-func (s *Store) apply(e walEntry) {
+func (s *Store) apply(e *walEntry) {
 	r := s.recs[e.Hash]
 	switch e.Op {
 	case "accept":
 		if r == nil {
-			r = &record{hash: e.Hash, spec: e.Spec, cells: make(map[string]json.RawMessage)}
+			r = &record{hash: e.Hash, spec: e.Spec}
 			s.recs[e.Hash] = r
 			s.order = append(s.order, e.Hash)
 		}
@@ -363,10 +248,7 @@ func (s *Store) apply(e walEntry) {
 		if r == nil {
 			return
 		}
-		if _, ok := r.cells[e.Key]; !ok {
-			r.cells[e.Key] = e.Value
-			r.order = append(r.order, e.Key)
-		}
+		r.cells.add(e.Key, e.Value)
 	case "finish":
 		if r == nil {
 			return
@@ -425,40 +307,9 @@ func addRange(done [][2]int, lo, hi int) [][2]int {
 	return merged
 }
 
-// append writes one entry to the WAL (synced) and applies it. Caller
-// holds mu.
-func (s *Store) append(e walEntry) error {
-	if s.wal == nil {
-		return fmt.Errorf("store: closed")
-	}
-	s.seq++
-	e.Seq = s.seq
-	body, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("store: encoding wal entry: %w", err)
-	}
-	if _, err := s.wal.WriteString(encodeLine(body)); err != nil {
-		return fmt.Errorf("store: appending wal: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: syncing wal: %w", err)
-		}
-	}
-	s.apply(e)
-	s.stats.Appends++
-	s.pending++
-	if s.pending >= s.opts.SnapshotEvery {
-		return s.snapshot()
-	}
-	return nil
-}
-
-// snapshot writes the full state to snapshot.json (temp file + atomic
-// rename), prunes old terminal records past MaxSpecs, and truncates the
-// WAL. Caller holds mu.
-func (s *Store) snapshot() error {
-	// Prune oldest terminal records beyond the bound before persisting.
+// snapshot drops the oldest terminal records beyond MaxSpecs and
+// returns the full state as the snapshot at seq. Caller holds mu.
+func (s *Store) snapshot(seq uint64) any {
 	if excess := len(s.order) - s.opts.MaxSpecs; excess > 0 {
 		kept := s.order[:0]
 		for _, h := range s.order {
@@ -473,32 +324,12 @@ func (s *Store) snapshot() error {
 		}
 		s.order = kept
 	}
-	snap := snapshotFile{Seq: s.seq}
+	snap := snapshotFile{Seq: seq}
 	for _, h := range s.order {
 		r := s.recs[h]
-		sr := snapRecord{Record: r.view()}
-		for _, k := range r.order {
-			sr.Cells = append(sr.Cells, Cell{Key: k, Value: r.cells[k]})
-		}
-		snap.Records = append(snap.Records, sr)
+		snap.Records = append(snap.Records, snapRecord{Record: r.view(), Cells: r.cells.list()})
 	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	tmp := s.snapPath() + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, s.snapPath()); err != nil {
-		return fmt.Errorf("store: publishing snapshot: %w", err)
-	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating wal: %w", err)
-	}
-	s.pending = 0
-	s.stats.Snapshots++
-	return nil
+	return snap
 }
 
 // Accept journals a spec's (re-)acceptance. An existing record —
@@ -510,7 +341,7 @@ func (s *Store) Accept(hash string, spec json.RawMessage) error {
 	if r, ok := s.recs[hash]; ok && r.state == StateAccepted {
 		return nil // already open; keep the WAL quiet on duplicate submits
 	}
-	return s.append(walEntry{Op: "accept", Hash: hash, Spec: compactJSON(spec)})
+	return s.log.append(&walEntry{Op: "accept", Hash: hash, Spec: compactJSON(spec)})
 }
 
 // Plan journals a shard plan: the sweep's total cell count and the
@@ -521,7 +352,7 @@ func (s *Store) Plan(hash string, total int, ranges [][2]int) error {
 	if _, ok := s.recs[hash]; !ok {
 		return nil // record pruned or never accepted; nothing to attach to
 	}
-	return s.append(walEntry{Op: "plan", Hash: hash, Total: total, Ranges: ranges})
+	return s.log.append(&walEntry{Op: "plan", Hash: hash, Total: total, Ranges: ranges})
 }
 
 // RangeDone journals completion of cell range [lo,hi). Call only after
@@ -534,7 +365,7 @@ func (s *Store) RangeDone(hash string, lo, hi int) error {
 	if _, ok := s.recs[hash]; !ok {
 		return nil
 	}
-	return s.append(walEntry{Op: "range", Hash: hash, Lo: lo, Hi: hi})
+	return s.log.append(&walEntry{Op: "range", Hash: hash, Lo: lo, Hi: hi})
 }
 
 // PutCell journals one completed cell artifact. A key already present
@@ -544,13 +375,10 @@ func (s *Store) PutCell(hash, key string, value json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.recs[hash]
-	if !ok {
+	if !ok || r.cells.has(key) {
 		return nil
 	}
-	if _, ok := r.cells[key]; ok {
-		return nil
-	}
-	return s.append(walEntry{Op: "cell", Hash: hash, Key: key, Value: compactJSON(value)})
+	return s.log.append(&walEntry{Op: "cell", Hash: hash, Key: key, Value: compactJSON(value)})
 }
 
 // Finish journals a terminal state. st must be terminal.
@@ -563,7 +391,7 @@ func (s *Store) Finish(hash string, st State, errMsg string) error {
 	if _, ok := s.recs[hash]; !ok {
 		return nil
 	}
-	return s.append(walEntry{Op: "finish", Hash: hash, State: st, Err: errMsg})
+	return s.log.append(&walEntry{Op: "finish", Hash: hash, State: st, Err: errMsg})
 }
 
 // Get returns one record's snapshot.
@@ -600,21 +428,16 @@ func (s *Store) Resume(hash string) ([]Cell, [][2]int) {
 	if !ok {
 		return nil, nil
 	}
-	cells := make([]Cell, 0, len(r.order))
-	for _, k := range r.order {
-		cells = append(cells, Cell{Key: k, Value: r.cells[k]})
-	}
-	return cells, append([][2]int(nil), r.done...)
+	return r.cells.list(), append([][2]int(nil), r.done...)
 }
 
 // Stats returns one consistent read of the store's accounting.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Specs = len(s.recs)
+	st := Stats{Specs: len(s.recs), LogStats: s.log.stats}
 	for _, r := range s.recs {
-		st.Cells += len(r.cells)
+		st.Cells += len(r.cells.order)
 	}
 	return st
 }
@@ -623,20 +446,5 @@ func (s *Store) Stats() Stats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		return nil
-	}
-	err := s.wal.Close()
-	s.wal = nil
-	return err
-}
-
-// compactJSON normalizes whitespace so replayed bytes compare equal to
-// freshly marshaled ones. Invalid JSON passes through unchanged.
-func compactJSON(raw json.RawMessage) json.RawMessage {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return raw
-	}
-	return buf.Bytes()
+	return s.log.close()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,125 +92,6 @@ func TestLifecycleReplay(t *testing.T) {
 	}
 }
 
-// TestTornTail appends a valid history, then simulates a crash
-// mid-append by chopping the last line in half: Open must keep every
-// whole record, cut the tail, and leave the WAL appendable.
-func TestTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	mustDo(t, "Accept", s.Accept("h1", json.RawMessage(`{"a":1}`)))
-	mustDo(t, "PutCell", s.PutCell("h1", "k1", json.RawMessage(`{"v":1}`)))
-	mustDo(t, "PutCell", s.PutCell("h1", "k2", json.RawMessage(`{"v":2}`)))
-	s.Close()
-
-	wal := filepath.Join(dir, "wal.log")
-	b, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(b, []byte("\n"))
-	last := lines[len(lines)-2] // lines ends with one empty slice after final \n
-	torn := b[:len(b)-len(last)/2-1]
-	if err := os.WriteFile(wal, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s = open(t, dir, Options{})
-	defer s.Close()
-	if !s.Stats().TruncatedTail {
-		t.Fatal("torn tail not reported")
-	}
-	rec, ok := s.Get("h1")
-	if !ok || rec.CellCount != 1 {
-		t.Fatalf("after torn tail: rec=%+v ok=%v, want 1 surviving cell", rec, ok)
-	}
-	// The WAL is clean again: a fresh append and replay both work.
-	mustDo(t, "PutCell after truncation", s.PutCell("h1", "k3", json.RawMessage(`{"v":3}`)))
-	s.Close()
-	s = open(t, dir, Options{})
-	defer s.Close()
-	if rec, _ := s.Get("h1"); rec.CellCount != 2 {
-		t.Fatalf("after re-append: CellCount=%d, want 2 (k1, k3)", rec.CellCount)
-	}
-}
-
-// TestCRCCorruption flips a byte inside an early record: replay must
-// stop there, keeping only the prefix.
-func TestCRCCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	mustDo(t, "Accept", s.Accept("h1", json.RawMessage(`{"a":1}`)))
-	mustDo(t, "PutCell", s.PutCell("h1", "k1", json.RawMessage(`{"v":1}`)))
-	mustDo(t, "PutCell", s.PutCell("h1", "k2", json.RawMessage(`{"v":2}`)))
-	s.Close()
-
-	wal := filepath.Join(dir, "wal.log")
-	b, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the second line's JSON body (line 2 is the k1 cell).
-	nl := bytes.IndexByte(b, '\n')
-	b[nl+15] ^= 0xff
-	if err := os.WriteFile(wal, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s = open(t, dir, Options{})
-	defer s.Close()
-	if !s.Stats().TruncatedTail {
-		t.Fatal("corruption not reported as a truncated tail")
-	}
-	rec, ok := s.Get("h1")
-	if !ok || rec.CellCount != 0 {
-		t.Fatalf("after corruption: rec=%+v ok=%v, want the accept only", rec, ok)
-	}
-}
-
-// TestSnapshotCompaction forces a snapshot, checks the WAL emptied and
-// the snapshot file carries the state, then verifies stale low-seq WAL
-// entries (a crash between rename and truncate) are skipped on replay.
-func TestSnapshotCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SnapshotEvery: 4})
-	mustDo(t, "Accept", s.Accept("h1", json.RawMessage(`{"a":1}`)))
-	mustDo(t, "PutCell", s.PutCell("h1", "k1", json.RawMessage(`{"v":1}`)))
-	mustDo(t, "PutCell", s.PutCell("h1", "k2", json.RawMessage(`{"v":2}`)))
-	mustDo(t, "RangeDone", s.RangeDone("h1", 0, 3)) // 4th append → snapshot
-	if st := s.Stats(); st.Snapshots != 1 {
-		t.Fatalf("Snapshots = %d, want 1", st.Snapshots)
-	}
-	walBytes, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil || len(walBytes) != 0 {
-		t.Fatalf("WAL after snapshot: %d bytes err=%v, want empty", len(walBytes), err)
-	}
-	mustDo(t, "PutCell post-snapshot", s.PutCell("h1", "k3", json.RawMessage(`{"v":3}`)))
-	s.Close()
-
-	s = open(t, dir, Options{})
-	rec, _ := s.Get("h1")
-	if rec.CellCount != 3 || !reflect.DeepEqual(rec.Done, [][2]int{{0, 3}}) {
-		t.Fatalf("after snapshot+wal replay: %+v", rec)
-	}
-	s.Close()
-
-	// Crash between snapshot rename and WAL truncate: prepend a stale
-	// entry whose seq predates the snapshot. Replay must skip it.
-	stale := walEntry{Seq: 1, Op: "cell", Hash: "h1", Key: "stale", Value: json.RawMessage(`{}`)}
-	body, _ := json.Marshal(stale)
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
-	cur, _ := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), append([]byte(line), cur...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s = open(t, dir, Options{})
-	defer s.Close()
-	rec, _ = s.Get("h1")
-	if rec.CellCount != 3 {
-		t.Fatalf("stale low-seq entry applied: CellCount=%d, want 3", rec.CellCount)
-	}
-}
-
 // TestPutCellDedup checks a duplicate key neither mutates state nor
 // grows the WAL — resume must not re-journal replayed cells.
 func TestPutCellDedup(t *testing.T) {
@@ -251,10 +131,10 @@ func TestMaxSpecsPrune(t *testing.T) {
 		mustDo(t, "Finish", s.Finish(h, StateMerged, ""))
 	}
 	s.mu.Lock()
-	err := s.snapshot()
+	err := s.log.compact()
 	s.mu.Unlock()
 	if err != nil {
-		t.Fatalf("snapshot: %v", err)
+		t.Fatalf("compact: %v", err)
 	}
 	if st := s.Stats(); st.Specs != 3 {
 		t.Fatalf("Specs after prune = %d, want 3", st.Specs)

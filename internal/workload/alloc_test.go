@@ -36,9 +36,6 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.callSub == nil {
-		t.Fatal("controller does not satisfy CallSubmitter")
-	}
 	core.Start()
 	// Warm past the self-refresh timer horizon (see internal/mc's alloc
 	// test) so the engine's event population has plateaued.
@@ -88,9 +85,6 @@ func TestServiceSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.callSub == nil {
-		t.Fatal("controller does not satisfy CallSubmitter")
-	}
 	svc.Start()
 	eng.RunUntil(500 * sim.Microsecond) // warm: past SR horizon, sample cap reached
 
@@ -104,52 +98,5 @@ func TestServiceSteadyStateAllocs(t *testing.T) {
 	}
 	if svc.served == 0 {
 		t.Fatal("service served no ops")
-	}
-}
-
-// stubSubmitter is a plain Submitter (no SubmitCall); cores and services
-// handed one must transparently use the closure path and still work.
-type stubSubmitter struct {
-	eng *sim.Engine
-	n   int
-}
-
-func (st *stubSubmitter) Submit(_ uint64, _ bool, done func(sim.Time)) error {
-	st.n++
-	st.eng.After(30*sim.Nanosecond, func() { done(30 * sim.Nanosecond) })
-	return nil
-}
-
-// TestLegacySubmitterFallback pins the compatibility contract: a
-// Submitter without SubmitCall still drives a Core to completion through
-// the bound done-adapter.
-func TestLegacySubmitterFallback(t *testing.T) {
-	eng := sim.NewEngine()
-	mem, err := kernel.New(kernel.Config{TotalBytes: 1 << 28, PageBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, ok := ByName("429.mcf")
-	if !ok {
-		t.Fatal("unknown profile")
-	}
-	prof.FootprintMB = 16
-	st := &stubSubmitter{eng: eng}
-	core, err := NewCore(eng, mem, st, CoreConfig{
-		Profile: prof, Owner: 12, Accesses: 500, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.callSub != nil {
-		t.Fatal("stub must not satisfy CallSubmitter")
-	}
-	core.Start()
-	eng.Run()
-	if !core.Done() {
-		t.Fatalf("core incomplete: %d of 500 accesses", core.completed)
-	}
-	if st.n != 500 {
-		t.Fatalf("stub saw %d submits, want 500", st.n)
 	}
 }

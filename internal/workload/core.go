@@ -8,20 +8,12 @@ import (
 	"greendimm/internal/sim"
 )
 
-// Submitter is what a core issues memory requests to (satisfied by
-// *mc.Controller).
+// Submitter is what cores and services issue memory requests to
+// (satisfied by *mc.Controller). Completions arrive on a long-lived
+// mc.Completer instead of a per-access closure: Core and Service
+// implement mc.Completer themselves, so against a real controller the
+// per-access path performs zero heap allocations.
 type Submitter interface {
-	Submit(pa uint64, write bool, done func(sim.Time)) error
-}
-
-// CallSubmitter is the allocation-free variant of Submitter (satisfied
-// by *mc.Controller): completions arrive on a long-lived mc.Completer
-// instead of a per-access closure. Core and Service type-assert their
-// Submitter for it and implement mc.Completer themselves, so against a
-// real controller the per-access path performs zero heap allocations;
-// plain Submitters (test fakes) transparently get the closure path.
-type CallSubmitter interface {
-	Submitter
 	SubmitCall(pa uint64, write bool, cb mc.Completer, id uint64) error
 }
 
@@ -41,18 +33,16 @@ type CoreConfig struct {
 // which is how interleaving's Fig. 3a speedups and GreenDIMM's Fig. 7/11
 // overheads are measured.
 type Core struct {
-	eng     *sim.Engine
-	mem     *kernel.Mem
-	sub     Submitter
-	callSub CallSubmitter // sub, when it supports the alloc-free path
-	cfg     CoreConfig
-	rng     *sim.RNG
+	eng *sim.Engine
+	mem *kernel.Mem
+	sub Submitter
+	cfg CoreConfig
+	rng *sim.RNG
 
 	// Handlers bound once at construction so the issue loop and its
 	// retry/timer re-arms never allocate a closure per access.
 	pumpFn  func()
 	timerFn func()
-	doneFn  func(sim.Time) // legacy-Submitter completion adapter
 
 	computeGap sim.Time // CPU time between consecutive accesses
 	cpuReady   sim.Time // compute frontier
@@ -88,13 +78,11 @@ func NewCore(eng *sim.Engine, mem *kernel.Mem, sub Submitter, cfg CoreConfig) (*
 		eng: eng, mem: mem, sub: sub, cfg: cfg,
 		rng: sim.NewRNG(cfg.Seed ^ int64(len(p.Name))),
 	}
-	c.callSub, _ = sub.(CallSubmitter)
 	c.pumpFn = c.pump
 	c.timerFn = func() {
 		c.timerSet = false
 		c.pump()
 	}
-	c.doneFn = func(lat sim.Time) { c.Complete(0, lat) }
 	// Instructions between misses = 1000/MPKI; time = insts/IPC/freq.
 	instPerMiss := 1000 / p.MPKI
 	c.computeGap = sim.Time(instPerMiss / p.IPC / cfg.FreqGHz * 1000) // ps
@@ -143,13 +131,7 @@ func (c *Core) pump() {
 			return
 		}
 		write := !c.rng.Bool(c.cfg.Profile.ReadFrac)
-		var err error
-		if c.callSub != nil {
-			err = c.callSub.SubmitCall(pa, write, c, 0)
-		} else {
-			err = c.sub.Submit(pa, write, c.doneFn)
-		}
-		if err != nil {
+		if err := c.sub.SubmitCall(pa, write, c, 0); err != nil {
 			// Queue full: back off one DRAM service quantum.
 			c.eng.After(100*sim.Nanosecond, c.pumpFn)
 			return
@@ -170,8 +152,7 @@ func (c *Core) pump() {
 }
 
 // Complete implements mc.Completer: one access returned from the memory
-// system. It is the completion body the per-access closures used to
-// capture; all its state lives on the Core.
+// system. All its state lives on the Core.
 func (c *Core) Complete(_ uint64, lat sim.Time) {
 	c.inFlight--
 	c.completed++

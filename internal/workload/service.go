@@ -16,12 +16,11 @@ import (
 // CPU stall the GreenDIMM daemon injects shows up in the tail — exactly
 // the effect §6.2's tail-latency discussion is about.
 type Service struct {
-	eng     *sim.Engine
-	mem     *kernel.Mem
-	sub     Submitter
-	callSub CallSubmitter // sub, when it supports the alloc-free path
-	cfg     ServiceConfig
-	rng     *sim.RNG
+	eng *sim.Engine
+	mem *kernel.Mem
+	sub Submitter
+	cfg ServiceConfig
+	rng *sim.RNG
 
 	// queue[qhead:] holds the arrival times of queued ops; the head
 	// index (instead of re-slicing the front) lets the emptied buffer
@@ -43,7 +42,6 @@ type Service struct {
 	serveFn  func()
 	finishFn func()
 	retryFn  func()
-	doneFn   func(sim.Time) // legacy-Submitter completion adapter
 
 	served    int64
 	arrived   int64
@@ -96,7 +94,6 @@ func NewService(eng *sim.Engine, mem *kernel.Mem, sub Submitter, cfg ServiceConf
 		rng:       sim.NewRNG(cfg.Seed ^ 0x737663),
 		warmupCut: eng.Now() + cfg.Warmup,
 	}
-	s.callSub, _ = sub.(CallSubmitter)
 	if cfg.SampleCap > 0 {
 		s.latencies.SetCap(cfg.SampleCap)
 	}
@@ -109,7 +106,6 @@ func NewService(eng *sim.Engine, mem *kernel.Mem, sub Submitter, cfg ServiceConf
 	s.serveFn = s.maybeServe
 	s.finishFn = s.finishOp
 	s.retryFn = s.opStep
-	s.doneFn = func(lat sim.Time) { s.Complete(0, lat) }
 	return s, nil
 }
 
@@ -166,13 +162,7 @@ func (s *Service) opStep() {
 		return
 	}
 	write := s.rng.Bool(1 - s.cfg.Profile.ReadFrac)
-	var err error
-	if s.callSub != nil {
-		err = s.callSub.SubmitCall(pa, write, s, 0)
-	} else {
-		err = s.sub.Submit(pa, write, s.doneFn)
-	}
-	if err != nil {
+	if err := s.sub.SubmitCall(pa, write, s, 0); err != nil {
 		s.eng.After(200*sim.Nanosecond, s.retryFn)
 	}
 }
