@@ -88,8 +88,12 @@ type request struct {
 
 // bank tracks one bank's row-buffer and timing state.
 type bank struct {
-	openRow int // -1 when precharged
-	readyAt sim.Time
+	// openRow is the row this bank last activated (-1 after its own
+	// precharge). It is open only while rowEpoch, recorded at that
+	// activate, equals the rank's (see rank.openRow).
+	openRow  int
+	rowEpoch uint64
+	readyAt  sim.Time
 	// canPreAt is when a precharge may start (tRAS/tWR/tRTP constraints
 	// folded in at access time).
 	canPreAt sim.Time
@@ -115,9 +119,12 @@ type rank struct {
 	// awakeAt: until this time the rank cannot accept commands (wake-up
 	// or refresh in progress).
 	awakeAt sim.Time
-	actHist [4]sim.Time // for tFAW
-	actIdx  int
-	pending int // queued + in-flight requests targeting this rank
+	// rowEpoch counts rank-wide row closures: REF, and wake-up from
+	// power-down or self-refresh.
+	rowEpoch uint64
+	actHist  [4]sim.Time // for tFAW
+	actIdx   int
+	pending  int // queued + in-flight requests targeting this rank
 	// standbySince is when the current standby residency began; the idle
 	// descent timers re-derive their liveness from it (a fired timer
 	// whose expected entry time no longer matches is stale), replacing
@@ -173,7 +180,7 @@ type Controller struct {
 	compFn    func(any) // arg *request: completion at data-return time
 	kickFn    func(any) // arg *channel: scheduling pass
 	idleFn    func(any) // arg *rank: idle-descent timer
-	refreshFn func(any) // arg *rank: tREFI refresh tick
+	refreshFn func()    // controller-wide tREFI refresh round
 
 	start sim.Time
 	final bool
@@ -217,7 +224,11 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	c.compFn = func(v any) { c.completeReq(v.(*request)) }
 	c.kickFn = func(v any) { c.kickTick(v.(*channel)) }
 	c.idleFn = func(v any) { c.idleTick(v.(*rank)) }
-	c.refreshFn = func(v any) { c.refreshTick(v.(*rank)) }
+	c.refreshFn = c.refreshTick
+	// Arm the refresh round before any idle timer: where a rank's idle
+	// step falls on a refresh instant, the REF goes first, so a rank that
+	// enters self-refresh there still gets that round's REF.
+	eng.AfterDaemon(cfg.Timing.TREFI, c.refreshFn)
 	now := eng.Now()
 	for ch := 0; ch < cfg.Org.Channels; ch++ {
 		chn := &channel{}
@@ -242,7 +253,6 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 				rk.actHist[i] = -1 // empty: ACTs at t=0 are still real
 			}
 			chn.ranks = append(chn.ranks, rk)
-			eng.AfterDaemonFunc(cfg.Timing.TREFI, c.refreshFn, rk)
 			if cfg.LowPower {
 				c.armIdleTimer(rk)
 			}
@@ -407,7 +417,7 @@ func (c *Controller) pickReady(chn *channel, now sim.Time) (int, sim.Time) {
 			}
 			continue
 		}
-		hit := b.openRow == r.loc.Row
+		hit := rk.openRow(b) == r.loc.Row
 		switch {
 		case best < 0:
 			best, bestHit = i, hit
@@ -430,10 +440,10 @@ func (c *Controller) timeRequest(chn *channel, req *request) (sim.Time, sim.Time
 
 	cmdStart := maxTime3(now, rk.awakeAt, b.readyAt)
 	var casAt sim.Time
-	switch {
-	case b.openRow == req.loc.Row: // row hit
+	switch open := rk.openRow(b); {
+	case open == req.loc.Row: // row hit
 		casAt = cmdStart
-	case b.openRow < 0: // closed, ACT needed
+	case open < 0: // closed, ACT needed
 		actAt := maxTime2(cmdStart, c.fawGate(rk))
 		casAt = actAt + t.TRCD
 	default: // conflict: PRE then ACT
@@ -466,17 +476,17 @@ func (c *Controller) issue(chn *channel, req *request) {
 	b := &rk.banks[req.loc.BankGroup*c.cfg.Org.BanksPerGroup+req.loc.Bank]
 	_, dataStart, dataEnd := c.timeRequest(chn, req)
 
-	switch {
-	case b.openRow == req.loc.Row:
+	switch open := rk.openRow(b); {
+	case open == req.loc.Row:
 		chn.stats.RowHits++
-	case b.openRow < 0:
+	case open < 0:
 		chn.stats.RowMisses++
 		c.recordAct(rk)
 	default:
 		chn.stats.RowConflicts++
 		c.recordAct(rk)
 	}
-	b.openRow = req.loc.Row
+	b.openRow, b.rowEpoch = req.loc.Row, rk.rowEpoch
 
 	// Bank ready for the next column command after the CAS-to-CAS gap
 	// (undo this request's CAS latency, which differs for writes);
@@ -526,6 +536,15 @@ func (c *Controller) completeReq(req *request) {
 	if cb != nil {
 		cb.Complete(id, c.eng.Now()-arrive)
 	}
+}
+
+// openRow reports the row open in bank b of rk, or -1 when b is
+// precharged or a rank-wide closure has happened since b activated it.
+func (rk *rank) openRow(b *bank) int {
+	if b.rowEpoch != rk.rowEpoch {
+		return -1
+	}
+	return b.openRow
 }
 
 func (c *Controller) recordAct(rk *rank) {
@@ -634,6 +653,9 @@ func (c *Controller) idleTick(rk *rank) {
 // a sleeping rank.
 func (c *Controller) wakeIfSleeping(chn *channel, rk *rank) {
 	now := c.eng.Now()
+	// awakeAt only grows here (the max keeps a REF still in progress), so
+	// it stays the non-decreasing bound that lets refreshTick leave
+	// per-bank readyAt alone.
 	switch rk.state {
 	case rsPowerDown:
 		rk.awakeAt = maxTime2(rk.awakeAt, now+c.cfg.Timing.TXP)
@@ -646,35 +668,39 @@ func (c *Controller) wakeIfSleeping(chn *channel, rk *rank) {
 	}
 	rk.res.Transition(now, rsActive)
 	rk.state = rsActive
-	// Self-refresh exit loses the row buffers.
-	for i := range rk.banks {
-		rk.banks[i].openRow = -1
-	}
+	// The rank wakes with every bank closed: self-refresh exit loses the
+	// row buffers, and the model's power-down is precharge power-down.
+	rk.rowEpoch++
 }
 
 // --- refresh ---
 
-// refreshTick is the per-rank tREFI refresh chain (armed at construction,
-// self-rescheduling). Ranks in self-refresh skip controller REF commands
-// (the device refreshes itself).
-func (c *Controller) refreshTick(rk *rank) {
+// refreshTick is one tREFI refresh round: a single controller-wide daemon
+// event (armed in New before any idle timer, self-rescheduling) that sends
+// a REF to every rank in channel, then rank, order; DESIGN.md §9
+// "Refresh" shows that this equals one REF chain per rank exactly. Ranks
+// in self-refresh skip controller REF commands (the device refreshes
+// itself). A REF costs O(1) per rank: it touches no per-bank state.
+func (c *Controller) refreshTick() {
 	if c.final {
 		return
 	}
-	if rk.state != rsSelfRefresh {
-		rk.chn.stats.Refreshes++
-		t := &c.cfg.Timing
-		start := maxTime2(c.eng.Now(), rk.awakeAt)
-		end := start + t.TRFC
-		rk.awakeAt = end
-		for i := range rk.banks {
-			rk.banks[i].openRow = -1
-			if rk.banks[i].readyAt < end {
-				rk.banks[i].readyAt = end
+	now, trfc := c.eng.Now(), c.cfg.Timing.TRFC
+	for _, chn := range c.channels {
+		for _, rk := range chn.ranks {
+			if rk.state == rsSelfRefresh {
+				continue
 			}
+			chn.stats.Refreshes++
+			// awakeAt never decreases, so the refresh end now dominates
+			// every bank's readyAt from before this REF: the readers
+			// (pickReady, timeRequest) take the max of the two, and issue
+			// overwrites readyAt. No bank needs its readyAt raised.
+			rk.awakeAt = maxTime2(now, rk.awakeAt) + trfc
+			rk.rowEpoch++ // closes every open row of the rank
 		}
 	}
-	c.eng.AfterDaemonFunc(c.cfg.Timing.TREFI, c.refreshFn, rk)
+	c.eng.AfterDaemon(c.cfg.Timing.TREFI, c.refreshFn)
 }
 
 // --- GreenDIMM deep power-down control ---

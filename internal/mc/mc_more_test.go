@@ -49,10 +49,69 @@ func TestRefreshBlocksBank(t *testing.T) {
 	}
 }
 
-// TestRefreshPausesUnderDPDAccounting: refresh energy scaling is the
-// power model's job; the controller still issues REF commands to awake
-// ranks, and the Activity carries the time-averaged DPD fraction so the
-// model can discount them.
+// TestRefreshClosesOpenRows: a REF, and a wake from self-refresh, close
+// the row an earlier access left open, so the next access to that row is
+// a row miss that pays the activate. With neither in between it hits.
+func TestRefreshClosesOpenRows(t *testing.T) {
+	tm := dram.DDR4_2133()
+	cold := tm.TRCD + tm.TCL + tm.TBL
+	cases := []struct {
+		name     string
+		lowPower bool
+		secondAt sim.Time // the first access is at t=0; the first REF at tREFI
+		hit      bool
+		refs     bool     // REFs issued between the two accesses
+		wake     sim.Time // exit penalty the second access pays
+	}{
+		{"no REF between", false, 2 * sim.Microsecond, true, false, 0},
+		{"REF between", false, tm.TREFI + tm.TRFC + sim.Microsecond, false, true, 0},
+		// Self-refresh from 1 us of idleness, well before the first REF.
+		{"self-refresh exit between", true, 5 * sim.Microsecond, false, false, tm.TXS},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			c, err := New(eng, Config{
+				Org: dram.Org64GB(), Timing: tm, LowPower: tc.lowPower,
+				PowerDownAfter: 100 * sim.Nanosecond, SelfRefreshAfter: sim.Microsecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Submit(0, false, nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.RunUntil(tc.secondAt)
+			before := c.Stats()
+			var lat sim.Time
+			if err := c.Submit(0, false, func(l sim.Time) { lat = l }); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			after := c.Stats()
+			if got := before.Refreshes > 0; got != tc.refs {
+				t.Fatalf("REFs before the second access = %d, want any: %v", before.Refreshes, tc.refs)
+			}
+			if woke := after.WakeUps - before.WakeUps; (woke > 0) != (tc.wake > 0) {
+				t.Fatalf("second access woke the rank %d times, want a wake: %v", woke, tc.wake > 0)
+			}
+			hits, misses := after.RowHits-before.RowHits, after.RowMisses-before.RowMisses
+			if tc.hit {
+				if hits != 1 || misses != 0 || lat >= cold {
+					t.Errorf("hits +%d, misses +%d, latency %v; want a row hit faster than %v", hits, misses, lat, cold)
+				}
+			} else if hits != 0 || misses != 1 || lat < tc.wake+cold {
+				t.Errorf("hits +%d, misses +%d, latency %v; want a row miss of at least wake %v + tRCD+tCL+tBL %v",
+					hits, misses, lat, tc.wake, cold)
+			}
+		})
+	}
+}
+
+// TestRefreshCountIndependentOfDPD: refresh energy scaling is the power
+// model's job; the controller still issues REF commands to awake ranks,
+// and the Activity carries the time-averaged DPD fraction so the model
+// can discount them.
 func TestRefreshCountIndependentOfDPD(t *testing.T) {
 	eng, c := newTestController(t, true, false)
 	for g := 32; g < 64; g++ {

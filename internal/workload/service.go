@@ -44,7 +44,6 @@ type Service struct {
 	retryFn  func()
 
 	served    int64
-	arrived   int64
 	latencies metrics.Distribution // response times, microseconds
 	warmupCut sim.Time             // samples before this are dropped
 
@@ -98,7 +97,6 @@ func NewService(eng *sim.Engine, mem *kernel.Mem, sub Submitter, cfg ServiceConf
 		s.latencies.SetCap(cfg.SampleCap)
 	}
 	s.arriveFn = func() {
-		s.arrived++
 		s.queue = append(s.queue, s.eng.Now())
 		s.maybeServe()
 		s.scheduleArrival()
@@ -204,11 +202,3 @@ func (s *Service) Served() int64 { return s.served }
 // Latency exposes the response-time distribution (microseconds), warmup
 // excluded.
 func (s *Service) Latency() *metrics.Distribution { return &s.latencies }
-
-// Utilization estimates offered load: arrival rate x mean service demand.
-func (s *Service) Utilization() float64 {
-	if s.latencies.N() == 0 {
-		return 0
-	}
-	return float64(s.served) / float64(s.arrived)
-}

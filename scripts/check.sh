@@ -44,6 +44,12 @@ echo "==> go test -race ./..."
 go test -race -short -timeout 20m "$@" ./internal/exp/
 go test -race "$@" $(go list ./... | grep -v '/internal/exp$')
 
+echo "==> perfbench self-test"
+# Runs every benchmark workload once at tiny size and checks the fig9,
+# tail and fig12 reports against perfbench/digests.json, the only byte
+# pin on those reports (go test never compares them to committed bytes).
+bash perfbench/run.sh --selftest
+
 echo "==> bench snapshot comparison"
 # With two or more BENCH_*.json snapshots present, gate the hot-path
 # benchmarks (>20% allocs/op regressions are fatal; ns/op warns).
