@@ -1,41 +1,35 @@
 package kernel
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 )
 
 // buddy is a binary-buddy allocator over a contiguous PFN range, the same
-// scheme mm/page_alloc.c uses. Free blocks are tracked per order in
-// min-heaps of head PFNs (lowest-address-first allocation, which matches
-// the empirically useful property that free memory accumulates at high
-// addresses — exactly what lets GreenDIMM off-line the top blocks).
+// scheme mm/page_alloc.c uses. Allocation takes the lowest-addressed free
+// block, which matches the empirically useful property that free memory
+// accumulates at high addresses — exactly what lets GreenDIMM off-line the
+// top blocks.
 //
-// freeOrder records, for the head page of each free block, its order + 1
-// (0 means "not a free-block head"), enabling O(maxOrder) buddy lookup and
-// the arbitrary-page carve-out that memory off-lining needs.
+// Each order's free blocks are a bitmap of block heads, so buddy lookup
+// and the arbitrary-page carve-out that memory off-lining needs are bit
+// tests, and a summary bitmap over it finds the lowest free block.
 type buddy struct {
 	base     PFN // first PFN of the zone
 	npages   int64
 	maxOrder int // largest block is 1<<maxOrder pages
-	lists    []pfnHeap
+	lists    []freeList
 	free     int64
-	// freeOrder[pfn-base] = order+1 when pfn heads a free block.
-	freeOrder []uint8
 }
 
-type pfnHeap []PFN
-
-func (h pfnHeap) Len() int           { return len(h) }
-func (h pfnHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h pfnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pfnHeap) Push(x any)        { *h = append(*h, x.(PFN)) }
-func (h *pfnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// freeList holds one order's free blocks. Bit i of heads is set when the
+// block at base + i<<order is free; bit j of summary is set when heads[j]
+// is non-zero; n counts the set bits of heads, so an empty order is
+// skipped without a scan.
+type freeList struct {
+	heads   []uint64
+	summary []uint64
+	n       int64
 }
 
 // newBuddy creates a zone over [base, base+npages) with all pages free.
@@ -49,11 +43,14 @@ func newBuddy(base PFN, npages int64, maxOrder int) (*buddy, error) {
 		return nil, fmt.Errorf("kernel: zone base %d not aligned to %d", base, blk)
 	}
 	b := &buddy{
-		base:      base,
-		npages:    npages,
-		maxOrder:  maxOrder,
-		lists:     make([]pfnHeap, maxOrder+1),
-		freeOrder: make([]uint8, npages),
+		base:     base,
+		npages:   npages,
+		maxOrder: maxOrder,
+		lists:    make([]freeList, maxOrder+1),
+	}
+	for o := range b.lists {
+		words := (npages>>o + 63) / 64
+		b.lists[o] = freeList{heads: make([]uint64, words), summary: make([]uint64, (words+63)/64)}
 	}
 	for p := base; p < base+PFN(npages); p += PFN(blk) {
 		b.insertFree(p, maxOrder)
@@ -70,19 +67,48 @@ func (b *buddy) Contains(pfn PFN) bool {
 // Free reports the number of free pages.
 func (b *buddy) Free() int64 { return b.free }
 
+// slot locates the head bit of the order-aligned block at pfn: word index
+// and mask.
+func (b *buddy) slot(pfn PFN, order int) (int64, uint64) {
+	i := int64(pfn-b.base) >> order
+	return i >> 6, 1 << (i & 63)
+}
+
 func (b *buddy) insertFree(pfn PFN, order int) {
-	b.freeOrder[pfn-b.base] = uint8(order) + 1
-	heap.Push(&b.lists[order], pfn)
+	l := &b.lists[order]
+	w, bit := b.slot(pfn, order)
+	l.heads[w] |= bit
+	l.summary[w>>6] |= 1 << (w & 63)
+	l.n++
 }
 
-// removeFreeHead clears the free-head mark; the heap entry is removed
-// lazily at pop time.
-func (b *buddy) removeFreeHead(pfn PFN) {
-	b.freeOrder[pfn-b.base] = 0
+func (b *buddy) removeFreeHead(pfn PFN, order int) {
+	l := &b.lists[order]
+	w, bit := b.slot(pfn, order)
+	if l.heads[w] &^= bit; l.heads[w] == 0 {
+		l.summary[w>>6] &^= 1 << (w & 63)
+	}
+	l.n--
 }
 
+// isFreeHead reports whether the order-aligned block at pfn is free.
 func (b *buddy) isFreeHead(pfn PFN, order int) bool {
-	return b.Contains(pfn) && b.freeOrder[pfn-b.base] == uint8(order)+1
+	w, bit := b.slot(pfn, order)
+	return b.lists[order].heads[w]&bit != 0
+}
+
+// lowest returns the lowest free block head of a non-empty order: the
+// first non-zero summary word (one per 4,096 blocks) names the heads
+// word, and the lowest set bit of each gives the block.
+func (b *buddy) lowest(order int) PFN {
+	l := &b.lists[order]
+	s := 0
+	for l.summary[s] == 0 {
+		s++
+	}
+	w := s<<6 + bits.TrailingZeros64(l.summary[s])
+	i := int64(w)<<6 + int64(bits.TrailingZeros64(l.heads[w]))
+	return b.base + PFN(i<<order)
 }
 
 // alloc takes the lowest-addressed free block of at least the given order,
@@ -92,22 +118,18 @@ func (b *buddy) alloc(order int) (PFN, bool) {
 		return 0, false
 	}
 	for o := order; o <= b.maxOrder; o++ {
-		for len(b.lists[o]) > 0 {
-			pfn := b.lists[o][0]
-			if !b.isFreeHead(pfn, o) { // stale heap entry
-				heap.Pop(&b.lists[o])
-				continue
-			}
-			heap.Pop(&b.lists[o])
-			b.removeFreeHead(pfn)
-			// Split down to the requested order, freeing upper halves.
-			for cur := o; cur > order; cur-- {
-				half := PFN(int64(1) << (cur - 1))
-				b.insertFree(pfn+half, cur-1)
-			}
-			b.free -= int64(1) << order
-			return pfn, true
+		if b.lists[o].n == 0 {
+			continue
 		}
+		pfn := b.lowest(o)
+		b.removeFreeHead(pfn, o)
+		// Split down to the requested order, freeing upper halves.
+		for cur := o; cur > order; cur-- {
+			half := PFN(int64(1) << (cur - 1))
+			b.insertFree(pfn+half, cur-1)
+		}
+		b.free -= int64(1) << order
+		return pfn, true
 	}
 	return 0, false
 }
@@ -117,8 +139,11 @@ func (b *buddy) freeBlock(pfn PFN, order int) {
 	if !b.Contains(pfn) {
 		panic(fmt.Sprintf("kernel: freeing pfn %d outside zone [%d,%d)", pfn, b.base, b.base+PFN(b.npages)))
 	}
-	if b.freeOrder[pfn-b.base] != 0 {
-		panic(fmt.Sprintf("kernel: double free of pfn %d", pfn))
+	// A free block headed at pfn can only be of an order pfn is aligned to.
+	for o := 0; o <= b.maxOrder && (pfn-b.base)&(PFN(1)<<o-1) == 0; o++ {
+		if b.isFreeHead(pfn, o) {
+			panic(fmt.Sprintf("kernel: double free of pfn %d", pfn))
+		}
 	}
 	b.free += int64(1) << order
 	for order < b.maxOrder {
@@ -127,7 +152,7 @@ func (b *buddy) freeBlock(pfn PFN, order int) {
 		if !b.isFreeHead(bud, order) {
 			break
 		}
-		b.removeFreeHead(bud)
+		b.removeFreeHead(bud, order)
 		if bud < pfn {
 			pfn = bud
 		}
@@ -141,13 +166,13 @@ func (b *buddy) freeBlock(pfn PFN, order int) {
 // does during memory off-lining. Reports whether the page was found free.
 func (b *buddy) carve(pfn PFN) bool {
 	// Find the free block containing pfn: its head is pfn aligned down at
-	// some order with the free-head mark set.
+	// some order with the free-head bit set.
 	for o := 0; o <= b.maxOrder; o++ {
 		head := pfn &^ (PFN(int64(1)<<o) - 1)
 		if !b.isFreeHead(head, o) {
 			continue
 		}
-		b.removeFreeHead(head)
+		b.removeFreeHead(head, o)
 		// Split the block, re-freeing every piece except the target page.
 		for cur := o; cur > 0; cur-- {
 			half := PFN(int64(1) << (cur - 1))

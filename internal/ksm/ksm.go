@@ -1,10 +1,12 @@
 // Package ksm models Linux Kernel Samepage Merging (mm/ksm.c) at the
 // granularity the GreenDIMM paper uses it (§2.4, §5.3): a daemon that
 // periodically scans madvise(MADV_MERGEABLE)-registered pages, finds
-// identical content via a stable tree (already-shared pages) and an
-// unstable tree (candidates whose checksum held still since the previous
+// identical content via a stable index (already-shared pages) and an
+// unstable index (candidates whose checksum held still since the previous
 // pass), replaces duplicates with one write-protected frame, and breaks
-// shares copy-on-write when a sharer writes.
+// shares copy-on-write when a sharer writes. mm/ksm.c keeps both as
+// rbtrees ordered by memcmp of page contents; here content is a digest, so
+// both are maps keyed by it.
 //
 // Page content is modelled as a 64-bit digest plus a per-page volatility
 // (probability the content changes between scan visits). The memory the
@@ -45,7 +47,7 @@ func (v *VPage) Frame() kernel.PFN { return v.frame }
 // Digest returns the page's current content digest.
 func (v *VPage) Digest() uint64 { return v.digest }
 
-// stableNode is a write-protected shared frame in the stable tree.
+// stableNode is a write-protected shared frame in the stable index.
 type stableNode struct {
 	digest uint64
 	frame  kernel.PFN
@@ -88,8 +90,8 @@ type Daemon struct {
 
 	pages    []*VPage // scan order = registration order, like the rmap list
 	cursor   int
-	stable   tree
-	unstable tree
+	stable   map[uint64]*stableNode
+	unstable map[uint64]*VPage  // emptied each time the cursor wraps
 	byFrame  map[kernel.PFN]any // *VPage (exclusive frame) or *stableNode
 
 	sharedSaved int64 // frames freed by merging, currently
@@ -104,11 +106,13 @@ func New(eng *sim.Engine, mem *kernel.Mem, cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("ksm: scan parameters must be positive: %+v", cfg)
 	}
 	d := &Daemon{
-		eng:     eng,
-		mem:     mem,
-		cfg:     cfg,
-		rng:     sim.NewRNG(cfg.Seed ^ 0x6b736d64),
-		byFrame: make(map[kernel.PFN]any),
+		eng:      eng,
+		mem:      mem,
+		cfg:      cfg,
+		rng:      sim.NewRNG(cfg.Seed ^ 0x6b736d64),
+		stable:   make(map[uint64]*stableNode),
+		unstable: make(map[uint64]*VPage),
+		byFrame:  make(map[kernel.PFN]any),
 	}
 	mem.OnMigrate(d.frameMigrated)
 	return d, nil
@@ -117,7 +121,7 @@ func New(eng *sim.Engine, mem *kernel.Mem, cfg Config) (*Daemon, error) {
 // Register advises a set of frames mergeable (madvise MADV_MERGEABLE).
 // digests[i] is the content of frames[i]; volatility is the probability a
 // page's content changes between scan visits. Returns the VPages for the
-// caller to mutate (Write) or inspect.
+// caller to mutate (Write) or inspect. A rejected call registers nothing.
 func (d *Daemon) Register(owner uint32, frames []kernel.PFN, digests []uint64, volatility float64) ([]*VPage, error) {
 	if len(frames) != len(digests) {
 		return nil, fmt.Errorf("ksm: %d frames but %d digests", len(frames), len(digests))
@@ -125,11 +129,13 @@ func (d *Daemon) Register(owner uint32, frames []kernel.PFN, digests []uint64, v
 	if volatility < 0 || volatility > 1 {
 		return nil, fmt.Errorf("ksm: volatility %v out of [0,1]", volatility)
 	}
-	out := make([]*VPage, len(frames))
-	for i, f := range frames {
+	for _, f := range frames {
 		if d.mem.Owner(f) != owner {
 			return nil, fmt.Errorf("ksm: frame %d not owned by %d", f, owner)
 		}
+	}
+	out := make([]*VPage, len(frames))
+	for i, f := range frames {
 		v := &VPage{owner: owner, digest: digests[i], volatility: volatility, frame: f}
 		d.pages = append(d.pages, v)
 		d.byFrame[f] = v
@@ -194,7 +200,7 @@ func (d *Daemon) detachSharer(n *stableNode) {
 	n.refs--
 	if n.refs == 0 {
 		d.sharedSaved++
-		d.stable.Delete(n.digest)
+		delete(d.stable, n.digest)
 		delete(d.byFrame, n.frame)
 		d.mem.FreePage(n.frame)
 	}
@@ -236,7 +242,7 @@ func (d *Daemon) ScanChunk() {
 		}
 		if d.cursor >= len(d.pages) {
 			d.cursor = 0
-			d.unstable.Clear()
+			clear(d.unstable)
 			d.stats.FullPasses++
 			for _, fn := range d.onPass {
 				fn()
@@ -265,28 +271,27 @@ func (d *Daemon) visit(v *VPage) {
 		return // already shared; nothing to do
 	}
 
-	// 1. Stable tree: merge with an existing shared frame.
-	if sn, ok := d.stable.Find(v.digest).(*stableNode); ok && sn != nil {
+	// 1. Stable index: merge with an existing shared frame.
+	if sn := d.stable[v.digest]; sn != nil {
 		d.mergeIntoStable(v, sn)
 		return
 	}
 
-	// 2. Unstable tree: another un-shared page with identical content
+	// 2. Unstable index: another un-shared page with identical content
 	// seen this pass -> promote both into a new stable node. Entries can
 	// be stale (the candidate's content changed after insertion, or its
-	// owner died); verify before merging.
-	if other, ok := d.unstable.Find(v.digest).(*VPage); ok && other != nil &&
-		other != v && !other.dead && other.merged == nil && other.digest == v.digest {
+	// owner died); verify before merging. A stale entry keeps its slot
+	// until the pass ends.
+	other, seen := d.unstable[v.digest]
+	if seen && other != v && !other.dead && other.merged == nil && other.digest == v.digest {
 		d.promote(other, v)
 		return
 	}
 
 	// 3. Checksum gate: only checksum-stable pages enter the unstable
-	// tree (mm/ksm.c skips pages that changed since the last visit).
-	if v.hasChecksum && v.checksum == v.digest {
-		if d.unstable.Find(v.digest) == nil {
-			d.unstable.Insert(v.digest, v)
-		}
+	// index (mm/ksm.c skips pages that changed since the last visit).
+	if !seen && v.hasChecksum && v.checksum == v.digest {
+		d.unstable[v.digest] = v
 	}
 	v.checksum = v.digest
 	v.hasChecksum = true
@@ -307,7 +312,12 @@ func (d *Daemon) mergeIntoStable(v *VPage, sn *stableNode) {
 // frame becomes the shared frame (reassigned to the KSM owner), b's frame
 // is freed.
 func (d *Daemon) promote(a, b *VPage) {
-	d.unstable.Delete(a.digest)
+	if d.stable[a.digest] != nil {
+		// visit looks the stable index up first; a second node for one
+		// digest means the scan logic broke.
+		panic(fmt.Sprintf("ksm: duplicate stable digest %#x", a.digest))
+	}
+	delete(d.unstable, a.digest)
 	sn := &stableNode{digest: a.digest, frame: a.frame, refs: 2}
 	d.mem.Reassign(a.frame, Owner)
 	delete(d.byFrame, a.frame)
@@ -317,7 +327,7 @@ func (d *Daemon) promote(a, b *VPage) {
 	d.mem.FreePage(b.frame)
 	b.frame = sn.frame
 	b.merged = sn
-	d.stable.Insert(sn.digest, sn)
+	d.stable[sn.digest] = sn
 	d.sharedSaved++ // two pages now occupy one frame
 	d.stats.Merges += 2
 }
@@ -351,8 +361,8 @@ func (d *Daemon) SavedPages() int64 { return d.sharedSaved }
 // SavedBytes reports the bytes merging currently saves.
 func (d *Daemon) SavedBytes() int64 { return d.sharedSaved * d.mem.PageBytes() }
 
-// StableLen reports the stable tree size (shared frames).
-func (d *Daemon) StableLen() int { return d.stable.Len() }
+// StableLen reports the stable index size (shared frames).
+func (d *Daemon) StableLen() int { return len(d.stable) }
 
 // Registered reports the number of registered pages.
 func (d *Daemon) Registered() int { return len(d.pages) }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestUnregisterDuringScanIsSafe: owners dying mid-pass leave dangling
-// unstable-tree entries; later visits must never merge against those dead
+// unstable-index entries; later visits must never merge against those dead
 // frames (they have returned to the buddy allocator).
 func TestUnregisterDuringScanIsSafe(t *testing.T) {
 	eng := sim.NewEngine()
@@ -30,12 +30,12 @@ func TestUnregisterDuringScanIsSafe(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		d.ScanChunk()
 	}
-	// Pass 2 begins: owner 10's first page enters the unstable tree.
+	// Pass 2 begins: owner 10's first page enters the unstable index.
 	d.ScanChunk()
-	if d.unstable.Len() == 0 {
+	if len(d.unstable) == 0 {
 		t.Fatal("setup: no unstable entry yet")
 	}
-	// Owner 10 dies with its page sitting in the unstable tree.
+	// Owner 10 dies with its page sitting in the unstable index.
 	d.UnregisterOwner(10)
 	mem.FreeOwner(10)
 	// Many further visits: owner 11 must never merge against the dead
@@ -81,7 +81,7 @@ func TestScanCostAccounting(t *testing.T) {
 }
 
 // TestMergeChainAfterCoWBreakRejoins: a page that broke CoW and later
-// reverts to the shared content can merge again via the stable tree.
+// reverts to the shared content can merge again via the stable index.
 func TestMergeChainAfterCoWBreakRejoins(t *testing.T) {
 	_, mem, d := setup(t, 64)
 	const shared = uint64(4242)
@@ -101,11 +101,52 @@ func TestMergeChainAfterCoWBreakRejoins(t *testing.T) {
 	}
 	scanPasses(d, 3)
 	if !a[0].Merged() {
-		t.Error("reverted page did not re-merge against the stable tree")
+		t.Error("reverted page did not re-merge against the stable index")
 	}
 	if d.SavedPages() != 2 {
 		t.Errorf("saved = %d after re-merge, want 2", d.SavedPages())
 	}
 	_ = b
 	_ = c
+}
+
+// TestRegisterIsAtomic: a call with a foreign frame anywhere in it is
+// rejected whole, registering nothing; no page of it is scanned or merged.
+func TestRegisterIsAtomic(t *testing.T) {
+	_, mem, d := setup(t, 64)
+	mine, err := mem.AllocPages(2, true, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := mem.AllocPages(1, true, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []kernel.PFN{mine[0], foreign[0], mine[1]}
+	if _, err := d.Register(10, frames, []uint64{7, 8, 9}, 0); err == nil {
+		t.Fatal("foreign frame accepted")
+	}
+	if n := d.Registered(); n != 0 {
+		t.Errorf("Registered() = %d after a rejected call, want 0", n)
+	}
+	allocAndRegister(t, mem, d, 12, []uint64{7}, 0)
+	scanPasses(d, 3)
+	if st := d.Stats(); st.Merges != 0 {
+		t.Errorf("merged %d pages against a rejected registration", st.Merges)
+	}
+}
+
+// TestDuplicateStableDigestPanics: KSM looks a digest up in the stable
+// index before promoting, so a second stable node for one digest means
+// the scan logic broke.
+func TestDuplicateStableDigestPanics(t *testing.T) {
+	_, mem, d := setup(t, 64)
+	vps := allocAndRegister(t, mem, d, 10, []uint64{7, 7, 7, 7}, 0)
+	d.promote(vps[0], vps[1])
+	defer func() {
+		if recover() == nil {
+			t.Error("second stable node for one digest did not panic")
+		}
+	}()
+	d.promote(vps[2], vps[3])
 }

@@ -65,7 +65,7 @@ func TestMergeIdenticalPagesAcrossOwners(t *testing.T) {
 		t.Errorf("used = %d, want %d", got, before-100*pageSize)
 	}
 	if d.StableLen() != 100 {
-		t.Errorf("stable tree holds %d nodes, want 100", d.StableLen())
+		t.Errorf("stable index holds %d nodes, want 100", d.StableLen())
 	}
 	for i := range img {
 		if !a[i].Merged() || !b[i].Merged() {
@@ -89,7 +89,7 @@ func TestThirdSharerJoinsStableTree(t *testing.T) {
 	if d.SavedPages() != 3 {
 		t.Fatalf("SavedPages = %d", d.SavedPages())
 	}
-	// A third VM arrives: its pages merge against the STABLE tree on the
+	// A third VM arrives: its pages merge against the STABLE index on the
 	// first visit (no checksum wait).
 	c := allocAndRegister(t, mem, d, 12, img, 0)
 	scanPasses(d, 1)

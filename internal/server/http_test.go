@@ -198,7 +198,7 @@ func TestE2EDeadlineAbortsEngine(t *testing.T) {
 		t.Errorf("error = %q, want deadline mention", v.Error)
 	}
 	// Generous bound: the engine must abort within its polling stride,
-	// far before the 24h scenario's multi-second runtime.
+	// before the 24h scenario could finish.
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Errorf("cancellation took %v", elapsed)
 	}
