@@ -9,10 +9,10 @@
 //	greendimmd -addr :8080 -workers 4 -queue 16
 //	curl -d '{"kind":"experiment","experiment":{"id":"fig12"}}' localhost:8080/v1/jobs
 //
-// With -peers, the daemon becomes a coordinator: submissions its bounded
-// queue rejects are proxied to a healthy peer daemon (internal/cluster)
-// instead of bouncing back as 429, and the proxied jobs stay pollable
-// and cancelable through this daemon under coordinator-local ids.
+// With -peers, a submission the bounded queue turns away runs on the
+// healthy peer daemon with the fewest outstanding jobs (internal/cluster)
+// instead of bouncing back as 429. It stays an ordinary job of this
+// daemon: same id space, pollable, cancelable, cached and journaled here.
 //
 // With -store-dir, jobs are durable: accepted specs and their completed
 // sweep cells journal to a write-ahead log, a killed daemon re-enqueues
@@ -25,7 +25,7 @@
 // disables). With -store-dir the memo also journals to <dir>/memo/, so
 // a restarted daemon boots warm and serves repeat sweeps without
 // recomputation. Daemons expose the memo to peers (GET /v1/memo/keys,
-// POST /v1/memo/entries); a sharding coordinator scores backends by
+// POST /v1/memo/entries); a sharding daemon scores backends by
 // warm-key overlap and places each shard where its cells already live.
 package main
 
@@ -59,7 +59,7 @@ func main() {
 		grace      = flag.Duration("grace", 2*time.Minute, "drain window for in-flight jobs on shutdown")
 		maxRecords = flag.Int("max-records", 4096, "finished job records to retain")
 		cpuBudget  = flag.Int("cpu-budget", runtime.GOMAXPROCS(0), "goroutine budget shared by workers and per-job sweep parallelism")
-		peers      = flag.String("peers", "", "comma-separated peer greendimmd base URLs; queue-full submissions are proxied to a healthy peer instead of returning 429")
+		peers      = flag.String("peers", "", "comma-separated peer greendimmd base URLs; a submission the full queue turns away runs on a healthy peer instead of returning 429")
 		peerProbe  = flag.Duration("peer-probe", 2*time.Second, "peer /healthz probe period (with -peers)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")
 		storeDir   = flag.String("store-dir", "", "durable job store directory: accepted jobs and their completed sweep cells are journaled, jobs interrupted by a crash resume from completed work at the next start; empty keeps the daemon in-memory")
@@ -97,34 +97,31 @@ func main() {
 		log.Printf("default block-selection policy: %s", pc.Policy.Fingerprint())
 	}
 
-	// The peer pool is built before the server so the shard runner can be
-	// installed as the server's executor.
-	var pool *cluster.Pool
-	var urls []string
+	// Under -peers, one pool, one dispatcher and one counter set serve
+	// both queue overflow and -shard-cells. They are built before the
+	// server so their hooks go into its config.
+	var warm *cluster.Warm
 	if *peers != "" {
+		var urls []string
 		for _, u := range strings.Split(*peers, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				urls = append(urls, u)
 			}
 		}
-		pool = cluster.NewPool(urls, cluster.PoolConfig{ProbePeriod: *peerProbe})
+		ctr := &cluster.Counters{}
+		pool := cluster.NewPool(urls, cluster.PoolConfig{ProbePeriod: *peerProbe, Client: cluster.ClientConfig{Counters: ctr}})
 		pool.Start()
 		defer pool.Stop()
-	}
-	var warm *cluster.Warm
-	if *shardCells > 0 {
-		if pool == nil {
-			log.Printf("-shard-cells %d ignored: no -peers to shard across", *shardCells)
-		} else {
+		d := cluster.NewDispatcher(pool, cluster.Options{Counters: ctr})
+		cfg.Overflow = d.Overflow
+		log.Printf("placing queue overflow on %d peers", len(urls))
+		if *shardCells > 0 {
 			// Shards dispatch through the failover ladder; whole jobs and
 			// the shard merge run through the config's own runner (shared
 			// limiter + memo), so local work stays inside one CPU budget.
-			exec := cfg.BaseRunner()
-			ctr := &cluster.Counters{}
-			d := cluster.NewDispatcher(pool, cluster.Options{Counters: ctr})
 			shardOpts := cluster.ShardOptions{
 				CellsPerShard: *shardCells,
-				Exec:          exec,
+				Exec:          cfg.BaseRunner(),
 			}
 			if cfg.Memo != nil {
 				// Warm-aware placement: shards route to the peer already
@@ -140,6 +137,8 @@ func main() {
 			cfg.Runner = sr.Run
 			log.Printf("sharding matrix experiments across %d peers (%d cells per shard)", len(urls), *shardCells)
 		}
+	} else if *shardCells > 0 {
+		log.Printf("-shard-cells %d ignored: no -peers to shard across", *shardCells)
 	}
 
 	srv, err := server.Open(cfg)
@@ -155,12 +154,7 @@ func main() {
 	if *storeDir != "" {
 		log.Printf("durable job store at %s", *storeDir)
 	}
-	handler := srv.Handler()
-	if pool != nil {
-		handler = cluster.NewCoordinator(srv, pool, nil).Handler()
-		log.Printf("coordinating queue overflow across %d peers", len(urls))
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	// Profiling gets its own listener and mux, never the API one: the
 	// handlers are registered explicitly (no DefaultServeMux side

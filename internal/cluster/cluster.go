@@ -15,10 +15,10 @@
 //     optionally hedging stragglers onto a second backend after a
 //     latency threshold (first result wins, the loser is cancelled), and
 //     falling back to in-process execution (server.Execute) when no
-//     healthy backend remains.
-//   - Coordinator: an http.Handler wrapper that turns a daemon into an
-//     overflow router — when its local queue is full it proxies the
-//     submission to a healthy peer instead of returning 429.
+//     healthy backend remains. Its Overflow method is a daemon's
+//     server.Config.Overflow hook: a job the full local queue turns away
+//     runs on a healthy peer as an ordinary job of that daemon instead
+//     of bouncing back as 429.
 //
 // The whole design leans on the repo-wide determinism invariant: a spec
 // hash (server.SpecHash) fully determines the report bytes, at any
@@ -56,7 +56,8 @@ type Counters struct {
 	// Divergences counts same-spec-hash result pairs whose report bytes
 	// disagreed. Any nonzero value fails the dispatch.
 	Divergences atomic.Int64
-	// ProxiedJobs counts submissions a Coordinator routed to a peer.
+	// ProxiedJobs counts queue-overflow jobs Dispatcher.Overflow placed
+	// on a peer.
 	ProxiedJobs atomic.Int64
 	// ShardJobs counts jobs a ShardRunner fanned out as cell-range
 	// shards; Shards counts individual range executions (reshard halves

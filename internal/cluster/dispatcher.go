@@ -20,13 +20,6 @@ type Options struct {
 	// are deterministic — and checked: if both copies finish, their
 	// bytes must agree.
 	HedgeAfter time.Duration
-	// MaxBackendsPerJob bounds how many distinct backends one job is
-	// tried on (hedges included) before the local fallback (default:
-	// every configured backend).
-	MaxBackendsPerJob int
-	// Concurrency bounds jobs in flight across the pool (default
-	// 2 x backends, minimum 4).
-	Concurrency int
 	// Local executes a spec in-process when no backend can (default
 	// server.Execute, aborting when ctx is done).
 	Local func(ctx context.Context, spec server.JobSpec) (*server.Result, error)
@@ -44,19 +37,13 @@ type Dispatcher struct {
 	pool *Pool
 	opts Options
 	ctr  *Counters
+	// concurrency bounds jobs (or shards) in flight across the pool:
+	// two per backend, at least 4.
+	concurrency int
 }
 
 // NewDispatcher builds a dispatcher over the pool.
 func NewDispatcher(pool *Pool, opts Options) *Dispatcher {
-	if opts.MaxBackendsPerJob <= 0 {
-		opts.MaxBackendsPerJob = pool.Size()
-	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 2 * pool.Size()
-		if opts.Concurrency < 4 {
-			opts.Concurrency = 4
-		}
-	}
 	if opts.Local == nil {
 		opts.Local = func(ctx context.Context, spec server.JobSpec) (*server.Result, error) {
 			// The job's trace rides the context (runOne puts it there), so
@@ -70,7 +57,7 @@ func NewDispatcher(pool *Pool, opts Options) *Dispatcher {
 	if opts.Counters == nil {
 		opts.Counters = &Counters{}
 	}
-	return &Dispatcher{pool: pool, opts: opts, ctr: opts.Counters}
+	return &Dispatcher{pool: pool, opts: opts, ctr: opts.Counters, concurrency: max(4, 2*pool.Size())}
 }
 
 // Counters returns a snapshot of the dispatcher's accounting.
@@ -113,7 +100,7 @@ func (d *Dispatcher) RunTraced(ctx context.Context, specs []server.JobSpec, trac
 	results := make([]*server.Result, len(specs))
 	sources := make([]string, len(specs))
 	errs := make([]error, len(specs))
-	sem := make(chan struct{}, d.opts.Concurrency)
+	sem := make(chan struct{}, d.concurrency)
 	var wg sync.WaitGroup
 	for i := range specs {
 		wg.Add(1)
@@ -206,7 +193,7 @@ func (d *Dispatcher) runOnePick(ctx context.Context, spec server.JobSpec, hash s
 	}
 	tried := make(map[string]bool)
 	var lastErr error
-	for len(tried) < d.opts.MaxBackendsPerJob {
+	for len(tried) < d.pool.Size() {
 		lease := pick(tried)
 		if lease == nil {
 			break
@@ -438,4 +425,75 @@ func (d *Dispatcher) watch(ctx context.Context, l *Lease, id, src string, ch cha
 	}
 	l.Release(nil)
 	ch <- attempt{view: v, src: src}
+}
+
+// Overflow places one job that a daemon's full queue turned away; it is
+// the server.Config.Overflow hook. It submits the spec to the
+// least-outstanding healthy peer, bounded by that peer's retry budget,
+// with no failover to another peer, and returns a runner that waits the
+// peer's job out. An error means no peer took the job. The runner
+// records an "attempt" span (Arg = peer URL) from submission on, and
+// once its Stop fires, watch cancels the peer's job.
+func (d *Dispatcher) Overflow(spec server.JobSpec) (func(server.JobSpec, server.RunHooks) (*server.Result, error), error) {
+	lease := d.pool.Pick(nil)
+	if lease == nil {
+		return nil, errors.New("cluster: no healthy peer")
+	}
+	start := time.Now()
+	v, err := lease.Client().Submit(context.Background(), spec)
+	if err != nil {
+		lease.Release(err)
+		return nil, err
+	}
+	d.ctr.Submitted.Add(1)
+	d.ctr.ProxiedJobs.Add(1)
+	return func(_ server.JobSpec, h server.RunHooks) (*server.Result, error) {
+		a := attempt{view: v, src: lease.URL()}
+		if terminal(v.State) { // a cache hit on the peer
+			lease.Release(nil)
+		} else {
+			ctx, cancel := stopContext(h.Stop)
+			defer cancel()
+			ch := make(chan attempt, 1)
+			d.watch(ctx, lease, v.ID, lease.URL(), ch)
+			a = <-ch
+		}
+		var err error
+		if !a.succeeded() {
+			err = a.failure()
+		}
+		d.ctr.AttemptSeconds.Observe(time.Since(start).Seconds())
+		h.Trace.Add("attempt", lease.URL(), start, time.Since(start), err)
+		if err != nil {
+			return nil, err
+		}
+		return a.view.Result, nil
+	}, nil
+}
+
+// stopContext bridges a server.RunHooks Stop predicate onto the context
+// the dispatcher's ladder wants: the context is canceled once stop
+// reports true, or by cancel. Stop is a predicate, not a channel, so it
+// is polled; 20 ms is far below any remote job's runtime.
+func stopContext(stop func() bool) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	if stop == nil {
+		return ctx, cancel
+	}
+	go func() {
+		t := time.NewTicker(20 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if stop() {
+					cancel()
+					return
+				}
+			}
+		}
+	}()
+	return ctx, cancel
 }

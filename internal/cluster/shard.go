@@ -22,9 +22,13 @@ import (
 // source — every heavy cell replays, only cheap rendering recomputes.
 //
 // Failed shards re-shard: the range halves and each half retries
-// through the ladder, down to MaxReshard levels, so one poisoned range
+// through the ladder, down to maxReshard levels, so one poisoned range
 // (a flaky peer, a too-big shard hitting queue limits) degrades to
 // smaller work items instead of failing the job.
+
+// maxReshard bounds how many times a failed range halves before the job
+// fails: a shard degrades to quarters at worst.
+const maxReshard = 2
 
 // ShardOptions tunes a ShardRunner. CellsPerShard and Exec are
 // required; other zero values take defaults.
@@ -35,9 +39,6 @@ type ShardOptions struct {
 	CellsPerShard int
 	// MaxShards caps the plan (default 16).
 	MaxShards int
-	// MaxReshard bounds how many times a failed range halves before the
-	// job fails (default 2: a shard degrades to quarters at worst).
-	MaxReshard int
 	// MinCells is the sharding floor: jobs with fewer missing cells run
 	// whole on this node (default CellsPerShard + 1 — sharding a job
 	// that fits one shard only adds transport).
@@ -82,11 +83,6 @@ func NewShardRunner(d *Dispatcher, opts ShardOptions) (*ShardRunner, error) {
 	}
 	if opts.MaxShards <= 0 {
 		opts.MaxShards = 16
-	}
-	if opts.MaxReshard < 0 {
-		opts.MaxReshard = 0
-	} else if opts.MaxReshard == 0 {
-		opts.MaxReshard = 2
 	}
 	if opts.MinCells <= 0 {
 		opts.MinCells = opts.CellsPerShard + 1
@@ -181,34 +177,11 @@ func (r *ShardRunner) Run(spec server.JobSpec, h server.RunHooks) (*server.Resul
 // runShards executes the planned ranges concurrently (bounded by the
 // dispatcher's concurrency), delivering each completed shard's cells
 // through h.CellObserved before journaling its range done, and halving
-// failed ranges up to MaxReshard levels. It returns every collected
+// failed ranges up to maxReshard levels. It returns every collected
 // artifact for the merge's replay source.
 func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned [][2]int) ([]exp.CellArtifact, error) {
-	// Bridge the pool-style Stop predicate onto the context the
-	// dispatcher's ladder wants. Polling is the only option — Stop is a
-	// predicate, not a channel — and 20ms is far below any shard's
-	// runtime.
-	ctx := context.Background()
-	if h.Stop != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		go func() {
-			t := time.NewTicker(20 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if h.Stop() {
-						cancel()
-						return
-					}
-				}
-			}
-		}()
-	}
+	ctx, cancel := stopContext(h.Stop)
+	defer cancel()
 
 	// Collected artifacts feed the merge; the mutex serializes appends
 	// from concurrent shards (and concurrent halves of a reshard).
@@ -220,7 +193,7 @@ func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned 
 		mu.Unlock()
 	}
 
-	sem := make(chan struct{}, r.d.opts.Concurrency)
+	sem := make(chan struct{}, r.d.concurrency)
 	errs := make([]error, len(planned))
 	var wg sync.WaitGroup
 	for i, p := range planned {
@@ -287,7 +260,7 @@ func (r *ShardRunner) runRange(ctx context.Context, spec server.JobSpec, h serve
 	if ctx.Err() != nil {
 		return err
 	}
-	if depth >= r.opts.MaxReshard || hi-lo < 2 {
+	if depth >= maxReshard || hi-lo < 2 {
 		return err
 	}
 	r.ctr.ShardRetries.Add(1)

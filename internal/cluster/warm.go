@@ -47,8 +47,6 @@ type WarmOptions struct {
 	// TTL bounds digest staleness (default 5s): within it, scoring and
 	// prefetch reuse the cached key set instead of re-asking the peer.
 	TTL time.Duration
-	// MaxFetch caps one prefetch batch (default server.MaxMemoFetchKeys).
-	MaxFetch int
 	// Counters, when non-nil, receives warm-routing accounting.
 	Counters *Counters
 }
@@ -56,9 +54,6 @@ type WarmOptions struct {
 func (o WarmOptions) withDefaults() WarmOptions {
 	if o.TTL <= 0 {
 		o.TTL = 5 * time.Second
-	}
-	if o.MaxFetch <= 0 || o.MaxFetch > server.MaxMemoFetchKeys {
-		o.MaxFetch = server.MaxMemoFetchKeys
 	}
 	return o
 }
@@ -194,8 +189,8 @@ func (w *Warm) Prefetch(ctx context.Context, keys []string) int {
 	if bestB == nil || len(bestHeld) == 0 {
 		return 0
 	}
-	if len(bestHeld) > w.opts.MaxFetch {
-		bestHeld = bestHeld[:w.opts.MaxFetch]
+	if len(bestHeld) > server.MaxMemoFetchKeys { // the peer's per-request bound
+		bestHeld = bestHeld[:server.MaxMemoFetchKeys]
 	}
 	entries, err := bestB.client.MemoFetch(ctx, bestHeld)
 	if err != nil {

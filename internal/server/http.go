@@ -14,9 +14,10 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs             submit a JobSpec; 202 queued, 200 cache
-//	                            hit, 400 invalid, 429 queue full, 503
-//	                            draining
+//	POST   /v1/jobs             submit a JobSpec; 202 queued (or placed
+//	                            on a peer, see Config.Overflow), 200
+//	                            cache hit, 400 invalid, 429 queue full,
+//	                            503 draining
 //	GET    /v1/jobs             list retained jobs (no results);
 //	                            ?status= filters, ?limit=/&offset= page
 //	GET    /v1/jobs/{id}        one job, with result once succeeded;

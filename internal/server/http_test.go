@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,15 +180,35 @@ func TestHTTPEngineShardsWireCompat(t *testing.T) {
 	}
 }
 
-// TestE2EDeadlineAbortsEngine submits an expensive scenario with a tiny
-// deadline: the stop check hooked into the event loop must abort it.
+// TestE2EDeadlineAbortsEngine submits the longest scenario the spec
+// allows with a tiny deadline: the stop check hooked into the real
+// simulator's event loop must abort it. The server marks any run that
+// outlives its deadline canceled, so the runner is wrapped to prove the
+// engine itself saw the stop before it returned.
 func TestE2EDeadlineAbortsEngine(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4})
+	cfg := Config{Workers: 1, QueueDepth: 4}
+	base := cfg.BaseRunner()
+	var stopSeen atomic.Bool
+	stoppedBeforeReturn := make(chan bool, 1)
+	cfg.Runner = func(spec JobSpec, h RunHooks) (*Result, error) {
+		stop := h.Stop
+		h.Stop = func() bool {
+			if stop() {
+				stopSeen.Store(true)
+				return true
+			}
+			return false
+		}
+		res, err := base(spec, h)
+		stoppedBeforeReturn <- stopSeen.Load()
+		return res, err
+	}
+	s := New(cfg)
 	defer shutdown(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	scen := exp.VMScenario{KSM: true, GreenDIMM: true, Hours: 24, Seed: 5}
+	scen := exp.VMScenario{KSM: true, GreenDIMM: true, Hours: 2400, Seed: 5}
 	start := time.Now()
 	_, v := postJob(t, ts, JobSpec{Kind: KindVMServer, VMServer: &scen, TimeoutSec: 0.15})
 	v = getJob(t, ts, v.ID, "?wait=60s")
@@ -197,8 +218,11 @@ func TestE2EDeadlineAbortsEngine(t *testing.T) {
 	if !strings.Contains(v.Error, "deadline") {
 		t.Errorf("error = %q, want deadline mention", v.Error)
 	}
+	if !<-stoppedBeforeReturn {
+		t.Error("the run returned without its stop predicate ever firing")
+	}
 	// Generous bound: the engine must abort within its polling stride,
-	// before the 24h scenario could finish.
+	// long before the 2400h scenario could finish.
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Errorf("cancellation took %v", elapsed)
 	}

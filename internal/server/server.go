@@ -113,10 +113,15 @@ type Config struct {
 	// need.
 	Runner func(JobSpec, RunHooks) (*Result, error)
 
-	// TraceCapacity bounds each job's span ring (default
-	// obs.DefaultCapacity). Spans beyond it are counted as dropped, not
-	// stored.
-	TraceCapacity int
+	// Overflow, when non-nil, places a job that the full queue turned
+	// away on another node (cmd/greendimmd passes the cluster
+	// Dispatcher's Overflow). Submit calls it synchronously, without the
+	// server lock held. On success it returns the placed job's runner:
+	// the job then takes an ordinary id and runs that runner on its own
+	// goroutine, outside the worker pool, with the usual hooks. Stop
+	// must abort the placed job. An error rejects the submission with
+	// ErrQueueFull.
+	Overflow func(JobSpec) (func(JobSpec, RunHooks) (*Result, error), error)
 
 	// DefaultPolicy, when non-nil, is the block-selection pipeline
 	// applied to vmserver specs that omit their policy field — the
@@ -195,9 +200,6 @@ func (c Config) filled() Config {
 	if c.CPUBudget <= 0 {
 		c.CPUBudget = runtime.GOMAXPROCS(0)
 	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = obs.DefaultCapacity
-	}
 	if c.MemoEntries == 0 {
 		c.MemoEntries = 512
 	}
@@ -254,6 +256,10 @@ type job struct {
 	// replay source (atomic: written by runJob outside mu).
 	recovered    bool
 	resumedCells atomic.Int64
+
+	// placed marks a job Config.Overflow placed on a peer: it runs on
+	// its own goroutine and occupies no pool worker.
+	placed bool
 
 	cancelRequested bool
 	cancel          context.CancelFunc // set while running
@@ -328,7 +334,6 @@ type Server struct {
 	order    []string // insertion order, for listing and record pruning
 	queue    chan *job
 	draining bool
-	busy     int // workers currently executing
 	ctr      counters
 	cache    map[string]*list.Element
 	lru      *list.List // front = most recent; values are cacheEntry
@@ -470,15 +475,14 @@ func (s *Server) recoverJob(rec store.Record) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
 	j := &job{
-		id:        fmt.Sprintf("j%06d", s.seq),
+		id:        s.newID(),
 		hash:      hash,
 		spec:      norm,
 		state:     StateQueued,
 		submitted: time.Now(),
 		recovered: true,
-		trace:     obs.NewTrace(s.cfg.TraceCapacity),
+		trace:     obs.NewTrace(obs.DefaultCapacity),
 		done:      make(chan struct{}),
 	}
 	j.trace.Mark("recovered", fmt.Sprintf("journaled_cells=%d", rec.CellCount))
@@ -489,8 +493,9 @@ func (s *Server) recoverJob(rec store.Record) {
 
 // Submit validates, cache-checks and enqueues one job. It returns the
 // job's snapshot: state "succeeded" with Cached set when the result came
-// from the cache, "queued" otherwise. Errors: *InvalidSpecError,
-// ErrQueueFull, ErrDraining.
+// from the cache, "queued" otherwise, or "running" when the queue was
+// full and Config.Overflow placed the job on a peer. Errors:
+// *InvalidSpecError, ErrQueueFull, ErrDraining.
 func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	spec = s.applyDefaultPolicy(spec)
 	norm, err := spec.normalized()
@@ -504,22 +509,26 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		return JobView{}, &InvalidSpecError{Err: err}
 	}
 	hash, _ := norm.hash()
+	j := &job{hash: hash, spec: norm, submitted: time.Now(), done: make(chan struct{})}
+	v, err := s.enqueue(j)
+	if errors.Is(err, ErrQueueFull) && s.cfg.Overflow != nil {
+		return s.overflow(j)
+	}
+	return v, err
+}
 
+// enqueue serves j from the cache or queues it. A full queue counts as
+// a rejection here only without an Overflow hook; with one, overflow
+// decides.
+func (s *Server) enqueue(j *job) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.ctr.rejectedDraining++
 		return JobView{}, ErrDraining
 	}
-	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j%06d", s.seq),
-		hash:      hash,
-		spec:      norm,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	if res, ok := s.cacheGet(hash); ok {
+	if res, ok := s.cacheGet(j.hash); ok {
+		j.id = s.newID()
 		s.ctr.submitted++
 		s.ctr.cacheHits++
 		j.state = StateSucceeded
@@ -535,14 +544,62 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		return s.view(j, true), nil
 	}
 	j.state = StateQueued
-	j.trace = obs.NewTrace(s.cfg.TraceCapacity)
+	j.trace = obs.NewTrace(obs.DefaultCapacity)
 	select {
-	case s.queue <- j:
+	case s.queue <- j: // the worker that takes j waits for mu, so admit's id lands first
 	default:
-		s.seq-- // the id was never exposed
-		s.ctr.rejectedFull++
+		if s.cfg.Overflow == nil {
+			s.ctr.rejectedFull++
+		}
 		return JobView{}, ErrQueueFull
 	}
+	s.admit(j)
+	return s.view(j, false), nil
+}
+
+// overflow places j, which the full queue turned away, through
+// Config.Overflow. Placement is a network round trip, so it runs without
+// mu, and j takes its id only once placed. The placed job runs on its
+// own goroutine, outside the worker pool.
+func (s *Server) overflow(j *job) (JobView, error) {
+	run, err := s.cfg.Overflow(j.spec)
+	s.mu.Lock()
+	switch {
+	case err != nil:
+		s.ctr.rejectedFull++
+		s.mu.Unlock()
+		return JobView{}, ErrQueueFull
+	case s.draining:
+		// Shutdown began during placement. The job is refused, so its
+		// placed copy is aborted through the runner's Stop; the outcome
+		// of that aborted run has no reader.
+		s.ctr.rejectedDraining++
+		s.mu.Unlock()
+		_, _ = run(j.spec, RunHooks{Stop: func() bool { return true }})
+		return JobView{}, ErrDraining
+	}
+	defer s.mu.Unlock()
+	j.placed = true
+	s.admit(j)
+	ctx := s.start(j)
+	s.wg.Add(1) // under mu while not draining, so Shutdown waits for it
+	go func() {
+		defer s.wg.Done()
+		s.execute(ctx, j, run)
+	}()
+	return s.view(j, false), nil
+}
+
+// newID takes the next job id. Caller holds mu.
+func (s *Server) newID() string {
+	s.seq++
+	return fmt.Sprintf("j%06d", s.seq)
+}
+
+// admit gives j, accepted for execution, its id, then counts, records
+// and journals it. Caller holds mu.
+func (s *Server) admit(j *job) {
+	j.id = s.newID()
 	s.ctr.submitted++
 	s.ctr.cacheMisses++
 	s.record(j)
@@ -550,13 +607,12 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		// Journal the full normalized spec (knobs included) so a crashed
 		// daemon re-runs the job exactly as submitted. A re-accepted hash
 		// keeps its journaled cells: resubmission resumes.
-		if b, err := json.Marshal(norm); err == nil {
-			if err := s.store.Accept(hash, b); err != nil {
+		if b, err := json.Marshal(j.spec); err == nil {
+			if err := s.store.Accept(j.hash, b); err != nil {
 				s.storeErrs.Add(1)
 			}
 		}
 	}
-	return s.view(j, false), nil
 }
 
 // record indexes a job and prunes the oldest terminal records beyond the
@@ -591,31 +647,41 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job under its deadline context.
+// runJob executes one queued job on the calling pool worker.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	if j.state != StateQueued { // canceled while queued
 		s.mu.Unlock()
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if j.spec.TimeoutSec > 0 {
-		timeout = time.Duration(j.spec.TimeoutSec * float64(time.Second))
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx := s.start(j)
+	s.mu.Unlock()
+	s.execute(ctx, j, s.cfg.Runner)
+}
+
+// start moves j to running under its deadline context. Caller holds mu.
+func (s *Server) start(j *job) context.Context {
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.timeout(j.spec))
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	s.busy++
-	runner := s.cfg.Runner
-	spec := j.spec
-	s.mu.Unlock()
+	return ctx
+}
 
+// timeout is a job's deadline: its timeout_sec, else the default, capped
+// at MaxTimeout.
+func (s *Server) timeout(spec JobSpec) time.Duration {
+	timeout := s.cfg.DefaultTimeout
+	if spec.TimeoutSec > 0 {
+		timeout = time.Duration(spec.TimeoutSec * float64(time.Second))
+	}
+	return min(timeout, s.cfg.MaxTimeout)
+}
+
+// execute runs a started job through runner and records the outcome.
+func (s *Server) execute(ctx context.Context, j *job, runner func(JobSpec, RunHooks) (*Result, error)) {
 	// Queue wait is an after-the-fact span: the interval from submission
-	// to this worker picking the job up.
+	// to the job starting (for a placed job, the placement round trip).
 	qw := j.started.Sub(j.submitted)
 	j.trace.Add("queue_wait", "", j.submitted, qw, nil)
 	s.histQueue.Observe(qw.Seconds())
@@ -633,7 +699,7 @@ func (s *Server) runJob(j *job) {
 			s.histCell.Observe(cellSeconds)
 		},
 	}
-	if s.store != nil {
+	if s.store != nil && !j.placed { // a placed job's cells live on the peer
 		// Resume state: journaled cells replay instead of re-simulating
 		// (verified byte-exact in exp), completed ranges steer the shard
 		// planner past finished work, and fresh cells/ranges journal as
@@ -678,16 +744,15 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	sp := j.trace.Start("execute")
-	res, err := runner(spec, h)
+	res, err := runner(j.spec, h)
 	sp.EndErr(err)
 	wall := time.Since(j.started).Seconds()
 	s.histWall.Observe(wall)
 	ctxErr := ctx.Err()
-	cancel()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.busy--
+	j.cancel()
 	j.cancel = nil
 	j.finished = time.Now()
 	switch {
@@ -700,7 +765,7 @@ func (s *Server) runJob(j *job) {
 		j.state = StateCanceled
 		switch {
 		case errors.Is(ctxErr, context.DeadlineExceeded):
-			j.errMsg = fmt.Sprintf("deadline exceeded after %s", timeout)
+			j.errMsg = fmt.Sprintf("deadline exceeded after %s", s.timeout(j.spec))
 		case err != nil && !errors.Is(err, context.Canceled):
 			j.errMsg = fmt.Sprintf("canceled: %v", err)
 		default:
@@ -1044,13 +1109,12 @@ func (s *Server) snapshot() stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := stats{
-		counters:    s.ctr,
-		queueDepth:  len(s.queue),
-		queueCap:    s.cfg.QueueDepth,
-		workers:     s.cfg.Workers,
-		busyWorkers: s.busy,
-		cacheSize:   len(s.cache),
-		draining:    s.draining,
+		counters:   s.ctr,
+		queueDepth: len(s.queue),
+		queueCap:   s.cfg.QueueDepth,
+		workers:    s.cfg.Workers,
+		cacheSize:  len(s.cache),
+		draining:   s.draining,
 		byState: map[JobState]int{
 			StateQueued: 0, StateRunning: 0, StateSucceeded: 0, StateFailed: 0, StateCanceled: 0,
 		},
@@ -1058,6 +1122,9 @@ func (s *Server) snapshot() stats {
 	for _, j := range s.jobs {
 		st.byState[j.state]++
 		if j.state == StateRunning {
+			if !j.placed {
+				st.busyWorkers++
+			}
 			st.cellsDoneRunning += j.cellsDone.Load()
 			st.cellsTotalRunning += j.cellsTotal.Load()
 		}

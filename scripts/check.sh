@@ -44,6 +44,11 @@ echo "==> go test -race ./..."
 go test -race -short -timeout 20m "$@" ./internal/exp/
 go test -race "$@" $(go list ./... | grep -v '/internal/exp$')
 
+echo "==> go test -race -count=20 -run Overflow (server, cluster)"
+# Submit releases and re-takes the server lock around queue-overflow
+# placement, a network round trip; one race run can miss that window.
+go test -race -count=20 -run Overflow "$@" ./internal/server/ ./internal/cluster/
+
 echo "==> perfbench self-test"
 # Runs every benchmark workload once at tiny size and checks the fig9,
 # tail and fig12 reports against perfbench/digests.json, the only byte
