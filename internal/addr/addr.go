@@ -55,6 +55,14 @@ type Mapper struct {
 	rankBits int
 	rowBits  int
 	saBits   int // sub-array-select bits (top of row)
+
+	// capacity is org.TotalBytes(), computed once: Decode's bounds check
+	// runs on every request, and Org's value receivers copy the struct.
+	capacity uint64
+	// rankSpan is the size of the largest aligned block that the layout
+	// keeps inside one (channel, rank): 1 << the lowest channel or rank
+	// address bit (see WithinRank).
+	rankSpan uint64
 }
 
 // NewMapper builds a mapper for the organization. Interleaved selects the
@@ -98,8 +106,29 @@ func NewMapper(o dram.Org, interleaved bool) (*Mapper, error) {
 		return nil, err
 	}
 	m.lineBits = 6 // 64B cache lines
+	m.capacity = uint64(o.TotalBytes())
+	// The lowest address bit that selects a channel or rank. Contiguous:
+	// the rank and channel fields sit together above the row. Interleaved:
+	// the channel field sits right above the line offset, the rank field
+	// above colLow, bank group and bank. A field of width 0 selects nothing.
+	low := m.TotalBits()
+	if m.interleaved {
+		if m.rankBits > 0 {
+			low = m.lineBits + m.chanBits + min(colLow, m.colBits) + m.bgBits + m.bankBits
+		}
+		if m.chanBits > 0 {
+			low = m.lineBits
+		}
+	} else if m.rankBits+m.chanBits > 0 {
+		low = m.lineBits + m.colBits + m.bankBits + m.bgBits + m.rowBits
+	}
+	m.rankSpan = 1 << low
 	return m, nil
 }
+
+// colLow is how many low column bits the interleaved layout places below
+// the bank-group bits.
+const colLow = 2
 
 // Org returns the organization the mapper was built for.
 func (m *Mapper) Org() dram.Org { return m.org }
@@ -112,11 +141,20 @@ func (m *Mapper) TotalBits() int {
 	return m.lineBits + m.chanBits + m.rankBits + m.bgBits + m.bankBits + m.colBits + m.rowBits
 }
 
+// WithinRank reports whether every n-byte block that starts at a multiple
+// of n lies inside one (channel, rank): on the contiguous layout any block
+// up to one rank's slab, on the interleaved layout one cache line when
+// there is more than one channel. Such a block's addresses all decode to
+// the channel and rank of its first byte.
+func (m *Mapper) WithinRank(n int64) bool {
+	return n > 0 && m.rankSpan%uint64(n) == 0
+}
+
 // Decode maps a physical address to its DRAM location. Addresses beyond
 // the installed capacity return an error.
 func (m *Mapper) Decode(pa uint64) (Loc, error) {
-	if pa >= uint64(m.org.TotalBytes()) {
-		return Loc{}, fmt.Errorf("addr: physical address %#x beyond capacity %#x", pa, m.org.TotalBytes())
+	if pa >= m.capacity {
+		return Loc{}, fmt.Errorf("addr: physical address %#x beyond capacity %#x", pa, m.capacity)
 	}
 	a := pa >> m.lineBits
 	take := func(n int) int {
@@ -130,7 +168,6 @@ func (m *Mapper) Decode(pa uint64) (Loc, error) {
 		// column-high | row. Splitting the column around the bank bits
 		// keeps row-buffer locality for streams while still rotating
 		// consecutive lines across channels and banks.
-		const colLow = 2
 		l.Channel = take(m.chanBits)
 		cl := take(min(colLow, m.colBits))
 		l.BankGroup = take(m.bgBits)
@@ -159,7 +196,6 @@ func (m *Mapper) Encode(l Loc) uint64 {
 	var a uint64
 	// Build from MSB down by reversing the Decode order.
 	if m.interleaved {
-		const colLow = 2
 		cLow := min(colLow, m.colBits)
 		colHi := l.Col >> cLow
 		colLo := l.Col & ((1 << cLow) - 1)
@@ -213,6 +249,6 @@ func (m *Mapper) GroupAddressRange(g int) (lo, hi uint64, err error) {
 		// (channel, rank); there is no single contiguous range.
 		return 0, 0, fmt.Errorf("addr: contiguous mapping has no single range per group")
 	}
-	size := uint64(m.org.TotalBytes()) / uint64(n)
+	size := m.capacity / uint64(n)
 	return uint64(g) * size, uint64(g+1) * size, nil
 }

@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -29,13 +30,73 @@ func TestTotalBitsCoverCapacity(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsOutOfRange(t *testing.T) {
-	m := mustMapper(t, dram.Org64GB(), true)
-	if _, err := m.Decode(64 << 30); err == nil {
-		t.Error("address at capacity accepted")
+// edgeOrgs lists the organizations whose bounds TestDecodeRejectsOutOfRange
+// and TestWithinRankMatchesDecode pin: both presets and every
+// OrgWithCapacity size from 64 GB to 1 TB.
+func edgeOrgs(t *testing.T) map[string]dram.Org {
+	t.Helper()
+	orgs := map[string]dram.Org{"Org64GB": dram.Org64GB(), "Org256GB": dram.Org256GB()}
+	for _, gb := range []int{64, 128, 256, 512, 1024} {
+		o, err := dram.OrgWithCapacity(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orgs[fmt.Sprintf("OrgWithCapacity(%d)", gb)] = o
 	}
-	if _, err := m.Decode(0); err != nil {
-		t.Errorf("address 0 rejected: %v", err)
+	return orgs
+}
+
+// TestDecodeRejectsOutOfRange pins Decode's bounds at the edge on both
+// layouts: the last line below capacity decodes, and capacity itself fails
+// with the message that names both.
+func TestDecodeRejectsOutOfRange(t *testing.T) {
+	for name, o := range edgeOrgs(t) {
+		for _, intlv := range []bool{true, false} {
+			m := mustMapper(t, o, intlv)
+			capacity := uint64(o.TotalBytes())
+			for _, pa := range []uint64{0, capacity - 64} {
+				if _, err := m.Decode(pa); err != nil {
+					t.Errorf("%s intlv=%v: address %#x rejected: %v", name, intlv, pa, err)
+				}
+			}
+			want := fmt.Sprintf("addr: physical address %#x beyond capacity %#x", capacity, capacity)
+			if _, err := m.Decode(capacity); err == nil || err.Error() != want {
+				t.Errorf("%s intlv=%v: Decode(capacity) error = %v, want %q", name, intlv, err, want)
+			}
+		}
+	}
+}
+
+// TestWithinRankMatchesDecode derives the largest rank-local block from
+// Decode alone (the lowest address bit whose flip changes the channel or
+// rank) and checks WithinRank against it for every power-of-two size.
+func TestWithinRankMatchesDecode(t *testing.T) {
+	for name, o := range edgeOrgs(t) {
+		for _, intlv := range []bool{true, false} {
+			m := mustMapper(t, o, intlv)
+			low := m.TotalBits()
+			for b := 0; b < m.TotalBits(); b++ {
+				l, err := m.Decode(1 << b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.Channel != 0 || l.Rank != 0 {
+					low = b
+					break
+				}
+			}
+			for j := 0; j <= m.TotalBits()+1; j++ {
+				n := int64(1) << j
+				if got, want := m.WithinRank(n), j <= low; got != want {
+					t.Errorf("%s intlv=%v: WithinRank(%d) = %v, want %v", name, intlv, n, got, want)
+				}
+			}
+			for _, n := range []int64{0, -64, 3 << 6} {
+				if m.WithinRank(n) {
+					t.Errorf("%s intlv=%v: WithinRank(%d) = true", name, intlv, n)
+				}
+			}
+		}
 	}
 }
 

@@ -30,27 +30,39 @@ type Occupancy struct {
 	BankUsed []bool // indexed by flat bank
 }
 
-// Scan computes occupancy for the current allocator state. Pages are
-// sampled at page granularity: a page's first line determines its rank
-// (with interleaving a page spans everything anyway; scanning lines of a
-// page would only reinforce full occupancy).
+// Scan computes occupancy for the current allocator state by sampling
+// every allocated page. Two sampling patterns cover both layouts: coarse
+// 8KB strides sweep the contiguous map's bank bits (which sit above the
+// 8KB row), and the page's first 1024 lines sweep the interleaved map's
+// channel/rank/bank bits (which sit below). A page that adds nothing via
+// the coarse pass cannot add anything via the fine pass either.
+//
+// A sample changes the result only by marking an unseen bank. So a page
+// that lies inside one (channel, rank) whose banks are all seen is
+// skipped: on the contiguous map one 1MB page sees every bank of its
+// rank, and the rest of that rank's pages cost one decode each. The walk
+// stops once every bank is seen (after one page, under interleaving).
 func Scan(mem *kernel.Mem, m *addr.Mapper) Occupancy {
 	o := m.Org()
+	ranksPerCh, banks := o.RanksPerChannel(), o.Banks()
 	occ := Occupancy{
 		RankUsed: make([]bool, o.TotalRanks()),
-		BankUsed: make([]bool, o.TotalRanks()*o.Banks()),
+		BankUsed: make([]bool, o.TotalRanks()*banks),
 	}
+	seen := make([]int, o.TotalRanks()) // banks marked, per global rank
 	pageBytes := mem.PageBytes()
+	rankLocal := m.WithinRank(pageBytes)
 	remaining := len(occ.BankUsed)
 	mark := func(pa uint64) {
 		loc, err := m.Decode(pa)
 		if err != nil {
 			return
 		}
-		rank := loc.Channel*o.RanksPerChannel() + loc.Rank
+		rank := loc.Channel*ranksPerCh + loc.Rank
 		occ.RankUsed[rank] = true
-		if fb := loc.FlatBank(o); !occ.BankUsed[fb] {
+		if fb := rank*banks + loc.BankGroup*o.BanksPerGroup + loc.Bank; !occ.BankUsed[fb] {
 			occ.BankUsed[fb] = true
+			seen[rank]++
 			remaining--
 		}
 	}
@@ -60,14 +72,13 @@ func Scan(mem *kernel.Mem, m *addr.Mapper) Occupancy {
 			continue
 		}
 		base := uint64(pfn) * uint64(pageBytes)
-		// Two sampling patterns cover both layouts: coarse 8KB strides
-		// sweep the contiguous map's bank bits (which sit above the
-		// 8KB row), and the page's first 1024 lines sweep the
-		// interleaved map's channel/rank/bank bits (which sit below).
-		// The remaining-counter stops the whole walk once every bank is
-		// seen (after one page, under interleaving); a page that adds
-		// nothing via the coarse pass cannot add anything via the fine
-		// pass either unless banks are still unseen.
+		if rankLocal {
+			// Every sample decodes to base's rank, or fails as base does.
+			loc, err := m.Decode(base)
+			if err != nil || seen[loc.Channel*ranksPerCh+loc.Rank] == banks {
+				continue
+			}
+		}
 		before := remaining
 		for off := int64(0); off < pageBytes && remaining > 0; off += 8192 {
 			mark(base + uint64(off))

@@ -179,3 +179,36 @@ func TestMigrationOverhead(t *testing.T) {
 		t.Error("default epoch broken")
 	}
 }
+
+// BenchmarkScan scans the energy matrix's machine (64 GB, 1 MB pages)
+// holding eight copies of 429.mcf's 1,700 MB footprint, once per timing
+// cell as fig9 does, under each address layout.
+func BenchmarkScan(b *testing.B) {
+	mem, err := kernel.New(kernel.Config{TotalBytes: 64 << 30, PageBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for owner := uint32(100); owner < 108; owner++ {
+		if _, err := mem.AllocPages(1700, true, owner); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, intlv := range []bool{false, true} {
+		name := "contiguous"
+		if intlv {
+			name = "interleaved"
+		}
+		m, err := addr.NewMapper(dram.Org64GB(), intlv)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scanSink = Scan(mem, m)
+			}
+		})
+	}
+}
+
+var scanSink Occupancy

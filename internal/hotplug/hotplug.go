@@ -122,6 +122,10 @@ type Manager struct {
 	states        []BlockState
 	pagesPerBlock int64
 	stats         Stats
+	// isolated is Offline's record of the pages it has taken out of the
+	// allocator, for rollback; reset per call so that repeated
+	// off-lining reuses one buffer.
+	isolated []kernel.PFN
 }
 
 // New builds a manager. BlockBytes must divide total memory and be a
@@ -248,9 +252,9 @@ func (m *Manager) Offline(i int) (sim.Time, error) {
 	}
 
 	// Step 2: isolate free pages out of the buddy allocator.
-	var isolated []kernel.PFN
+	m.isolated = m.isolated[:0]
 	rollback := func() {
-		for _, p := range isolated {
+		for _, p := range m.isolated {
 			m.mem.Unisolate(p)
 		}
 	}
@@ -262,7 +266,7 @@ func (m *Manager) Offline(i int) (sim.Time, error) {
 				m.stats.EBusyLat.Add(m.cfg.Latency.EBusyLatency.Milliseconds())
 				return m.cfg.Latency.EBusyLatency, ErrBusy
 			}
-			isolated = append(isolated, p)
+			m.isolated = append(m.isolated, p)
 		}
 	}
 
@@ -283,7 +287,7 @@ func (m *Manager) Offline(i int) (sim.Time, error) {
 			if !transient {
 				if _, err := m.mem.MigratePage(p, lo, hi); err == nil {
 					m.stats.MigratedPages++
-					isolated = append(isolated, p) // now isolated
+					m.isolated = append(m.isolated, p) // now isolated
 					break
 				}
 			}

@@ -76,6 +76,111 @@ func TestSubmitDrainSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// deepLoop runs closed-loop streams that each keep width reads in flight,
+// walking runs of 16 consecutive lines from random bases (xorshift, so
+// drawing allocates nothing). Enough streams keep several queued requests
+// per bank and ~16 per channel, the depth the energy matrix's eight
+// copies reach. Every completion re-pumps every stream, so a stream
+// turned away by a full queue resumes on the next completion. It sums
+// QueueLen at each completion to report the depth.
+type deepLoop struct {
+	c       *Controller
+	streams []deepStream
+	width   int
+	rng     uint64
+	lines   uint64
+	left    int64
+	done    int64
+	queued  int64
+}
+
+type deepStream struct {
+	next     uint64
+	run      int
+	inFlight int
+}
+
+func (l *deepLoop) Complete(id uint64, _ sim.Time) {
+	l.streams[id].inFlight--
+	l.done++
+	l.queued += int64(l.c.QueueLen())
+	l.pump()
+}
+
+func (l *deepLoop) pump() {
+	for i := range l.streams {
+		s := &l.streams[i]
+		for s.inFlight < l.width && l.left > 0 {
+			if s.run == 0 {
+				l.rng ^= l.rng << 13
+				l.rng ^= l.rng >> 7
+				l.rng ^= l.rng << 17
+				s.next, s.run = l.rng%l.lines*64, 16
+			}
+			if err := l.c.SubmitCall(s.next, false, l, uint64(i)); err != nil {
+				break // queue full: the next completion re-pumps
+			}
+			s.next = (s.next + 64) % (l.lines * 64)
+			s.run--
+			l.left--
+			s.inFlight++
+		}
+	}
+}
+
+// deepStreams is the stream count that keeps ~16 requests queued per
+// channel on the interleaved 64 GB controller.
+const deepStreams = 20
+
+// newDeepController builds BenchmarkMCSubmit's controller and warms a
+// deepLoop on it past the self-refresh horizon.
+func newDeepController(tb testing.TB) (*sim.Engine, *deepLoop) {
+	tb.Helper()
+	eng := sim.NewEngine()
+	c, err := New(eng, Config{
+		Org:         dram.Org64GB(),
+		Timing:      dram.DDR4_2133(),
+		Interleaved: true,
+		LowPower:    true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	loop := &deepLoop{
+		c:       c,
+		streams: make([]deepStream, deepStreams),
+		width:   8,
+		rng:     88172645463325252,
+		lines:   uint64(c.cfg.Org.TotalBytes()) / 64,
+		left:    100000,
+	}
+	loop.pump()
+	eng.Run()
+	if loop.done != 100000 {
+		tb.Fatalf("warmup completed %d of 100000", loop.done)
+	}
+	return eng, loop
+}
+
+// TestSubmitDeepQueueSteadyStateAllocs is TestSubmitDrainSteadyStateAllocs
+// at depth: with ~16 requests queued per channel, spread over per-bank
+// queues, a warm SubmitCall+drain cycle still allocates nothing.
+func TestSubmitDeepQueueSteadyStateAllocs(t *testing.T) {
+	eng, loop := newDeepController(t)
+	channels := int64(len(loop.c.channels))
+	if depth := loop.queued / loop.done / channels; depth < 12 {
+		t.Fatalf("warmup averaged %d queued requests per channel, want a deep queue (>= 12)", depth)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		loop.left = 1000
+		loop.pump()
+		eng.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("deep-queue submit+drain allocates %.2f allocs per 1000-request batch, want 0", avg)
+	}
+}
+
 // idCompleter records per-id completion counts and checks that no id
 // completes while its request was already recycled into a new identity.
 type idCompleter struct {
@@ -146,14 +251,14 @@ func TestPooledRequestsNotReusedWhilePending(t *testing.T) {
 		t.Fatalf("completed %d of %d submitted requests", ic.total, submitted)
 	}
 	// Drained controller: every pooled request must be at rest with no
-	// retained callback or rank reference.
+	// retained callback, rank or queue-link reference.
 	for i, r := range c.freeReqs {
 		if r == nil {
 			t.Fatalf("free list slot %d is nil", i)
 		}
-		if r.cb != nil || r.rk != nil || r.id != 0 {
-			t.Fatalf("free list slot %d retains state: cb set=%t rk set=%t id=%d",
-				i, r.cb != nil, r.rk != nil, r.id)
+		if r.cb != nil || r.rk != nil || r.next != nil || r.id != 0 {
+			t.Fatalf("free list slot %d retains state: cb set=%t rk set=%t next set=%t id=%d",
+				i, r.cb != nil, r.rk != nil, r.next != nil, r.id)
 		}
 		for j := i + 1; j < len(c.freeReqs); j++ {
 			if c.freeReqs[j] == r {
@@ -163,9 +268,12 @@ func TestPooledRequestsNotReusedWhilePending(t *testing.T) {
 	}
 }
 
-// TestQueueRemovalReleasesTailSlot pins the schedule() removal fix: after
-// a queue drains, the backing array's slots must all be nil so issued
-// requests aren't retained by queue capacity.
+// TestQueueRemovalReleasesTailSlot pins the dequeue cleanup: after the
+// queues drain, no bank queue holds a request and no slot of an active
+// list's backing array holds a bank, so issued requests are not retained
+// through queue links or list capacity. Two rows in each of eight banks
+// of every channel make banks leave the active list from the middle as
+// well as the end.
 func TestQueueRemovalReleasesTailSlot(t *testing.T) {
 	eng := sim.NewEngine()
 	c, err := New(eng, Config{
@@ -176,20 +284,40 @@ func TestQueueRemovalReleasesTailSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
-		if err := c.SubmitCall(uint64(i)*1<<20, false, nil, 0); err != nil {
-			t.Fatal(err)
+	// Interleaved Org64GB: bits 6-7 pick the channel, 10-13 the bank
+	// group and bank, and bit 26 is a row bit.
+	for ch := uint64(0); ch < 4; ch++ {
+		for bank := uint64(0); bank < 8; bank++ {
+			for _, row := range []uint64{0, 1 << 26} {
+				if err := c.SubmitCall(row|bank<<10|ch<<6, false, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for ci, chn := range c.channels {
+		if len(chn.active) != 8 || chn.queued != 16 {
+			t.Fatalf("channel %d: %d active banks and %d queued, want 8 and 16", ci, len(chn.active), chn.queued)
 		}
 	}
 	eng.Run()
-	for _, chn := range c.channels {
-		if len(chn.queue) != 0 {
-			t.Fatalf("queue not drained: %d left", len(chn.queue))
+	if n := c.QueueLen(); n != 0 {
+		t.Fatalf("queue not drained: %d left", n)
+	}
+	for ci, chn := range c.channels {
+		if len(chn.active) != 0 {
+			t.Fatalf("channel %d: %d banks still active", ci, len(chn.active))
 		}
-		full := chn.queue[:cap(chn.queue)]
-		for i, p := range full {
-			if p != nil {
-				t.Fatalf("drained queue retains request pointer in backing-array slot %d", i)
+		for i, b := range chn.active[:cap(chn.active)] {
+			if b != nil {
+				t.Fatalf("channel %d: drained active list retains a bank in backing-array slot %d", ci, i)
+			}
+		}
+		for ri, rk := range chn.ranks {
+			for bi := range rk.banks {
+				if b := &rk.banks[bi]; b.head != nil || b.tail != nil {
+					t.Fatalf("channel %d rank %d bank %d: drained queue retains a request", ci, ri, bi)
+				}
 			}
 		}
 	}
@@ -214,6 +342,17 @@ func BenchmarkMCSubmit(b *testing.B) {
 	loop.pump()
 	eng.Run()
 
+	b.ReportAllocs()
+	b.ResetTimer()
+	loop.left = int64(b.N)
+	loop.pump()
+	eng.Run()
+}
+
+// BenchmarkMCSubmitDeep is BenchmarkMCSubmit with deepStreams closed-loop
+// streams, so every pick chooses among ~16 queued requests per channel.
+func BenchmarkMCSubmitDeep(b *testing.B) {
+	eng, loop := newDeepController(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	loop.left = int64(b.N)

@@ -38,7 +38,7 @@ type Config struct {
 	PowerDownAfter   sim.Time
 	SelfRefreshAfter sim.Time
 
-	// MaxQueue bounds the per-channel request queue; Submit reports
+	// MaxQueue bounds the requests queued per channel; Submit reports
 	// ErrQueueFull beyond it so closed-loop generators self-throttle.
 	MaxQueue int
 
@@ -84,6 +84,10 @@ type request struct {
 	cb     Completer
 	id     uint64
 	rk     *rank
+	// seq is the request's insertion number on its channel; next links
+	// its bank's queue (see bank.head).
+	seq  uint64
+	next *request
 }
 
 // bank tracks one bank's row-buffer and timing state.
@@ -97,6 +101,14 @@ type bank struct {
 	// canPreAt is when a precharge may start (tRAS/tWR/tRTP constraints
 	// folded in at access time).
 	canPreAt sim.Time
+
+	rk *rank // owning rank
+	// head and tail hold the bank's queued requests in insertion order,
+	// linked through request.next (an intrusive FIFO: queueing allocates
+	// nothing). While the queue is non-empty the bank sits at
+	// chn.active[active].
+	head, tail *request
+	active     int
 }
 
 // Rank power-state indices for the residency meter (match dram.PowerState
@@ -138,7 +150,12 @@ type rank struct {
 // channel is one memory channel's scheduler state. Stats are kept per
 // channel and merged on demand (see Controller.Stats).
 type channel struct {
-	queue     []*request
+	// active lists the banks with queued requests, in no particular
+	// order; its capacity, ranks x banks, is fixed in New. queued counts
+	// their requests, and seq numbers them in insertion order.
+	active    []*bank
+	queued    int
+	seq       uint64
 	busFreeAt sim.Time
 	kickAt    sim.Time // earliest pending kick event, to dedupe
 	kickSet   bool
@@ -231,7 +248,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	eng.AfterDaemon(cfg.Timing.TREFI, c.refreshFn)
 	now := eng.Now()
 	for ch := 0; ch < cfg.Org.Channels; ch++ {
-		chn := &channel{}
+		chn := &channel{active: make([]*bank, 0, cfg.Org.RanksPerChannel()*cfg.Org.Banks())}
 		// Reads per run reach tens of millions; bound each channel's
 		// percentile storage (Mean/N stay exact — see
 		// metrics.Distribution.SetCap).
@@ -248,6 +265,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 			}
 			for b := range rk.banks {
 				rk.banks[b].openRow = -1
+				rk.banks[b].rk = rk
 			}
 			for i := range rk.actHist {
 				rk.actHist[i] = -1 // empty: ACTs at t=0 are still real
@@ -303,14 +321,14 @@ func (c *Controller) SubmitCall(pa uint64, write bool, cb Completer, id uint64) 
 		panic(fmt.Sprintf("mc: access %#x to sub-array group %d in deep power-down", pa, g))
 	}
 	chn := c.channels[loc.Channel]
-	if len(chn.queue) >= c.cfg.MaxQueue {
+	if chn.queued >= c.cfg.MaxQueue {
 		return ErrQueueFull
 	}
 	rk := chn.ranks[loc.Rank]
 	req := c.getReq()
 	req.loc, req.write, req.arrive = loc, write, c.eng.Now()
 	req.cb, req.id, req.rk = cb, id, rk
-	chn.queue = append(chn.queue, req)
+	chn.enqueue(&rk.banks[loc.BankGroup*c.cfg.Org.BanksPerGroup+loc.Bank], req)
 	if c.tracer != nil {
 		c.tracer.record(c.eng.Now(), pa, write)
 	}
@@ -333,9 +351,10 @@ func (c *Controller) getReq() *request {
 }
 
 // putReq returns a completed request to the free list, dropping the
-// callback and rank references so idle pool slots retain nothing.
+// callback, rank and queue-link references so idle pool slots retain
+// nothing.
 func (c *Controller) putReq(r *request) {
-	r.cb, r.rk, r.id = nil, nil, 0
+	r.cb, r.rk, r.next, r.id = nil, nil, nil, 0
 	c.freeReqs = append(c.freeReqs, r)
 }
 
@@ -343,9 +362,52 @@ func (c *Controller) putReq(r *request) {
 func (c *Controller) QueueLen() int {
 	n := 0
 	for _, ch := range c.channels {
-		n += len(ch.queue)
+		n += ch.queued
 	}
 	return n
+}
+
+// enqueue appends req to bank b's queue, listing b as active if it had
+// no queued request.
+func (chn *channel) enqueue(b *bank, req *request) {
+	chn.seq++
+	req.seq = chn.seq
+	if b.tail == nil {
+		b.head = req
+		b.active = len(chn.active)
+		chn.active = append(chn.active, b)
+	} else {
+		b.tail.next = req
+	}
+	b.tail = req
+	chn.queued++
+}
+
+// dequeue unlinks the request after prev in bank b's queue (the head when
+// prev is nil) and returns it. A bank whose queue empties leaves the
+// active list; the last entry takes its slot, and the vacated tail slot
+// is cleared so the list's backing array retains no bank.
+func (chn *channel) dequeue(b *bank, prev *request) *request {
+	req := b.head
+	if prev == nil {
+		b.head = req.next
+	} else {
+		req = prev.next
+		prev.next = req.next
+	}
+	if b.tail == req {
+		b.tail = prev
+	}
+	req.next = nil
+	chn.queued--
+	if b.head == nil {
+		last := len(chn.active) - 1
+		moved := chn.active[last]
+		chn.active[b.active], moved.active = moved, b.active
+		chn.active[last] = nil
+		chn.active = chn.active[:last]
+	}
+	return req
 }
 
 // --- scheduling core ---
@@ -381,53 +443,51 @@ func (c *Controller) kickTick(chn *channel) {
 func (c *Controller) schedule(chn *channel) {
 	now := c.eng.Now()
 	for {
-		idx, nextAt := c.pickReady(chn, now)
-		if idx < 0 {
+		b, prev, nextAt := pickReady(chn, now)
+		if b == nil {
 			if nextAt >= 0 {
 				c.kick(chn, nextAt)
 			}
 			return
 		}
-		req := chn.queue[idx]
-		// Compacting removal that nils the vacated tail slot: the backing
-		// array must not retain a pointer to the issued (soon pooled)
-		// request.
-		last := len(chn.queue) - 1
-		copy(chn.queue[idx:], chn.queue[idx+1:])
-		chn.queue[last] = nil
-		chn.queue = chn.queue[:last]
-		c.issue(chn, req)
+		c.issue(chn, chn.dequeue(b, prev))
 	}
 }
 
-// pickReady returns the index of the preferred issuable request — among
-// requests whose rank is awake and bank command-ready, row hits beat
-// misses and age breaks ties — or -1 plus the earliest future readiness.
-func (c *Controller) pickReady(chn *channel, now sim.Time) (int, sim.Time) {
-	best := -1
+// pickReady finds the preferred issuable request: among requests whose
+// rank is awake and bank command-ready, row hits beat misses and
+// insertion order breaks ties. Insertion order is age order, since a
+// request's arrival is the engine's clock at submit. All of a bank's
+// requests share one readiness, max(awakeAt, readyAt), so a ready bank
+// offers its first request to the open row, or else its first request.
+// pickReady returns that request's bank and its predecessor in the
+// bank's queue (nil for the head), or a nil bank plus the earliest
+// future readiness among the banks with work (-1 if none).
+func pickReady(chn *channel, now sim.Time) (best *bank, bestPrev *request, nextAt sim.Time) {
+	var bestReq *request
 	bestHit := false
-	var nextAt sim.Time = -1
-	for i, r := range chn.queue {
-		rk := chn.ranks[r.loc.Rank]
-		b := &rk.banks[r.loc.BankGroup*c.cfg.Org.BanksPerGroup+r.loc.Bank]
-		ready := maxTime2(rk.awakeAt, b.readyAt)
-		if ready > now {
+	nextAt = -1
+	for _, b := range chn.active {
+		if ready := maxTime2(b.rk.awakeAt, b.readyAt); ready > now {
 			if nextAt < 0 || ready < nextAt {
 				nextAt = ready
 			}
 			continue
 		}
-		hit := rk.openRow(b) == r.loc.Row
-		switch {
-		case best < 0:
-			best, bestHit = i, hit
-		case hit && !bestHit:
-			best, bestHit = i, hit
-		case hit == bestHit && r.arrive < chn.queue[best].arrive:
-			best = i
+		req, prev, hit := b.head, (*request)(nil), false
+		if open := b.rk.openRow(b); open >= 0 {
+			for p, r := (*request)(nil), b.head; r != nil; p, r = r, r.next {
+				if r.loc.Row == open {
+					req, prev, hit = r, p, true
+					break
+				}
+			}
+		}
+		if bestReq == nil || hit && !bestHit || hit == bestHit && req.seq < bestReq.seq {
+			best, bestPrev, bestReq, bestHit = b, prev, req, hit
 		}
 	}
-	return best, nextAt
+	return best, bestPrev, nextAt
 }
 
 // timeRequest computes (commandStart, dataStart, dataEnd) for a request
@@ -783,16 +843,17 @@ func (c *Controller) Activity() power.Activity {
 		panic("mc: Activity before Finalize")
 	}
 	now := c.eng.Now()
-	st := c.Stats()
 	a := power.Activity{
-		Window:      now - c.start,
-		Activations: st.Activations,
-		Reads:       st.Reads,
-		Writes:      st.Writes,
-		Refreshes:   st.Refreshes,
-		DPDFrac:     c.dpdFrac.Average(now),
+		Window:  now - c.start,
+		DPDFrac: c.dpdFrac.Average(now),
 	}
+	// Sum the counters here rather than through Stats, which would copy
+	// every channel's retained latency samples only to drop them.
 	for _, ch := range c.channels {
+		a.Activations += ch.stats.Activations
+		a.Reads += ch.stats.Reads
+		a.Writes += ch.stats.Writes
+		a.Refreshes += ch.stats.Refreshes
 		for _, rk := range ch.ranks {
 			a.ActiveT += rk.res.Total(rsActive)
 			a.StandbyT += rk.res.Total(rsStandby)

@@ -295,6 +295,11 @@ func TestActivityCoversWindow(t *testing.T) {
 	if a.Reads == 0 || a.Writes == 0 {
 		t.Error("reads/writes not recorded")
 	}
+	st := c.Stats()
+	if a.Activations != st.Activations || a.Reads != st.Reads || a.Writes != st.Writes || a.Refreshes != st.Refreshes {
+		t.Errorf("Activity counters (ACT %d, RD %d, WR %d, REF %d) differ from Stats (%d, %d, %d, %d)",
+			a.Activations, a.Reads, a.Writes, a.Refreshes, st.Activations, st.Reads, st.Writes, st.Refreshes)
+	}
 }
 
 func TestDPDSubmitPanics(t *testing.T) {

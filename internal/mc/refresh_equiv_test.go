@@ -151,9 +151,17 @@ func refreshEquivReport(t *testing.T, cfg Config) string {
 	driveRefreshEquiv(eng, c, 7, horizon)
 	eng.RunUntil(horizon)
 	c.Finalize()
-	st, a := c.Stats(), c.Activity()
 	var b strings.Builder
-	row := func(k string, v any) { fmt.Fprintf(&b, "%s %v\n", k, v) }
+	writeStatsReport(&b, c)
+	return b.String()
+}
+
+// writeStatsReport renders every Stats counter, the read-latency
+// N/mean/p50/p99 and the rank-state residency totals of a finalized
+// controller.
+func writeStatsReport(b *strings.Builder, c *Controller) {
+	st, a := c.Stats(), c.Activity()
+	row := func(k string, v any) { fmt.Fprintf(b, "%s %v\n", k, v) }
 	row("reads", st.Reads)
 	row("writes", st.Writes)
 	row("activations", st.Activations)
@@ -171,7 +179,6 @@ func refreshEquivReport(t *testing.T, cfg Config) string {
 	row("standby_ps", int64(a.StandbyT))
 	row("powerdown_ps", int64(a.PowerDnT))
 	row("selfrefresh_ps", int64(a.SelfRefT))
-	return b.String()
 }
 
 // TestRefreshEquivalenceGolden holds every case of the matrix to the

@@ -26,13 +26,13 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> alloc regression (engine, controller, workload, buddy hot paths)"
-# The request path's and the page allocator's zero-allocation contracts,
-# asserted as tests so a regression fails the gate, not just a benchmark
-# readout. Run WITHOUT the race detector: AllocsPerRun must count only the
-# code's own allocations, and these same tests also run race-instrumented
-# in the repo-wide pass below.
-go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/
+echo "==> alloc regression (engine, controller, workload, buddy, hotplug hot paths)"
+# The request path's, the page allocator's and memory-block off-lining's
+# zero-allocation contracts, asserted as tests so a regression fails the
+# gate, not just a benchmark readout. Run WITHOUT the race detector:
+# AllocsPerRun must count only the code's own allocations, and these same
+# tests also run race-instrumented in the repo-wide pass below.
+go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/
 
 echo "==> go test -race ./..."
 # Every package's tests run under the race detector here, among them the
