@@ -39,8 +39,8 @@ func (l *drainLoop) pump() {
 // TestSubmitDrainSteadyStateAllocs mirrors internal/sim/alloc_test.go at
 // the controller layer: once the request pool and event free list are
 // warm, a SubmitCall+drain cycle allocates nothing — no request objects,
-// no completion closures, no kick or idle-timer closures, no refresh
-// closures, no latency-sample growth.
+// no completion closures, no kick or refresh closures, no latency-sample
+// growth.
 func TestSubmitDrainSteadyStateAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	c, err := New(eng, Config{
@@ -55,10 +55,7 @@ func TestSubmitDrainSteadyStateAllocs(t *testing.T) {
 	loop := &drainLoop{c: c, width: 32}
 
 	// Warm up: fill the request pool, event free list, queue capacity,
-	// and latency sample buffer. The warmup must advance simulated time
-	// past SelfRefreshAfter (64us): self-refresh descent timers are
-	// armed that far ahead, so the queued-event population keeps growing
-	// until a full descent horizon of them is in flight.
+	// and latency sample buffer.
 	loop.left = 100000
 	loop.pump()
 	eng.Run()
@@ -133,7 +130,7 @@ func (l *deepLoop) pump() {
 const deepStreams = 20
 
 // newDeepController builds BenchmarkMCSubmit's controller and warms a
-// deepLoop on it past the self-refresh horizon.
+// deepLoop on it.
 func newDeepController(tb testing.TB) (*sim.Engine, *deepLoop) {
 	tb.Helper()
 	eng := sim.NewEngine()
@@ -338,7 +335,7 @@ func BenchmarkMCSubmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	loop := &drainLoop{c: c, width: 32}
-	loop.left = 100000 // warm pool, free list, buffers past the SR-timer horizon
+	loop.left = 100000 // warm pool, free list and buffers
 	loop.pump()
 	eng.Run()
 
@@ -358,4 +355,93 @@ func BenchmarkMCSubmitDeep(b *testing.B) {
 	loop.left = int64(b.N)
 	loop.pump()
 	eng.Run()
+}
+
+// idleLoop issues one read at a time and submits the next a fixed gap
+// after each completion, from a handler bound once (AtFunc), so the loop
+// itself allocates nothing. With the gap past SelfRefreshAfter, every
+// request finds its rank in self-refresh: each submit settles an idle
+// descent, applies the refresh rounds the rank skipped and pays a tXS
+// wake-up. Successive requests step through the ranks.
+type idleLoop struct {
+	c        *Controller
+	eng      *sim.Engine
+	gap      sim.Time
+	stride   uint64
+	next     uint64
+	left     int64
+	done     int64
+	submitFn func(any)
+}
+
+func newIdleLoop(tb testing.TB) *idleLoop {
+	tb.Helper()
+	eng := sim.NewEngine()
+	c, err := New(eng, Config{
+		Org:      dram.Org64GB(),
+		Timing:   dram.DDR4_2133(),
+		LowPower: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	total := uint64(c.cfg.Org.TotalBytes())
+	l := &idleLoop{
+		c:      c,
+		eng:    eng,
+		gap:    c.cfg.SelfRefreshAfter + 6*sim.Microsecond,
+		stride: total/uint64(c.cfg.Org.TotalRanks()) + 64,
+	}
+	l.submitFn = func(v any) { v.(*idleLoop).submit() }
+	return l
+}
+
+func (l *idleLoop) submit() {
+	if err := l.c.SubmitCall(l.next, false, l, 0); err != nil {
+		panic(err)
+	}
+	l.next = (l.next + l.stride) % uint64(l.c.cfg.Org.TotalBytes())
+	l.left--
+}
+
+func (l *idleLoop) Complete(_ uint64, _ sim.Time) {
+	l.done++
+	if l.left > 0 {
+		l.eng.AtFunc(l.eng.Now()+l.gap, l.submitFn, l)
+	}
+}
+
+// run issues n requests and runs them to completion.
+func (l *idleLoop) run(n int64) {
+	l.left = n
+	l.eng.AtFunc(l.eng.Now()+l.gap, l.submitFn, l)
+	l.eng.Run()
+}
+
+// TestSubmitIdleSteadyStateAllocs is the alloc gate for the idle path,
+// which the closed-loop tests above never reach (they keep every rank
+// busy): once warm, a request that wakes a rank from self-refresh, with
+// the descent settled and the skipped rounds applied at its submit,
+// allocates nothing.
+func TestSubmitIdleSteadyStateAllocs(t *testing.T) {
+	l := newIdleLoop(t)
+	l.run(100)
+	avg := testing.AllocsPerRun(50, func() { l.run(20) })
+	if avg != 0 {
+		t.Fatalf("idle-path submit allocates %.2f allocs per 20-request batch, want 0", avg)
+	}
+	if st := l.c.Stats(); st.WakeUps != l.done {
+		t.Fatalf("%d of %d requests woke a rank, want all", st.WakeUps, l.done)
+	}
+}
+
+// BenchmarkMCSubmitIdle measures one request on the idle path: a submit
+// to a rank in self-refresh, its wake-up and completion, plus the refresh
+// rounds that run during the gap before the next request.
+func BenchmarkMCSubmitIdle(b *testing.B) {
+	l := newIdleLoop(b)
+	l.run(100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.run(int64(b.N))
 }

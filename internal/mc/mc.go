@@ -16,6 +16,7 @@ package mc
 
 import (
 	"fmt"
+	"math"
 
 	"greendimm/internal/addr"
 	"greendimm/internal/dram"
@@ -123,11 +124,12 @@ const (
 
 // rank tracks one rank's power state, refresh, and activate history.
 type rank struct {
-	chn       *channel // owning channel (its stats count this rank's activity)
-	banks     []bank
-	res       *metrics.Residency
-	state     int
-	idleSince sim.Time
+	chn   *channel // owning channel (its stats count this rank's activity)
+	banks []bank
+	res   *metrics.Residency
+	// state is the power state as of the last settle; while pending is 0
+	// the idle descent may have moved on since (see Controller.settle).
+	state int
 	// awakeAt: until this time the rank cannot accept commands (wake-up
 	// or refresh in progress).
 	awakeAt sim.Time
@@ -137,15 +139,21 @@ type rank struct {
 	actHist  [4]sim.Time // for tFAW
 	actIdx   int
 	pending  int // queued + in-flight requests targeting this rank
-	// standbySince is when the current standby residency began; the idle
-	// descent timers re-derive their liveness from it (a fired timer
-	// whose expected entry time no longer matches is stale), replacing
-	// the sequence-number captures that cost a closure per arm.
+	// standbySince is when the current idle descent began. Its
+	// power-down step is keyed pdAt, the key its timer event would have
+	// taken; the self-refresh step falls SelfRefreshAfter after
+	// standbySince.
 	standbySince sim.Time
-	// idleArmedAt dedupes idle-descent events: at most one is queued per
-	// target time, since a fired event carries no state beyond the rank.
-	idleArmedAt sim.Time
+	pdAt         sim.Pos
+	// rounds counts the refresh rounds applied to (or skipped by) this
+	// rank; roundCap is the last round whose REF reaches it before the
+	// current descent enters self-refresh (noRoundCap with no descent).
+	rounds   int64
+	roundCap int64
 }
+
+// noRoundCap is a rank's roundCap while no idle descent is under way.
+const noRoundCap = math.MaxInt64
 
 // channel is one memory channel's scheduler state. Stats are kept per
 // channel and merged on demand (see Controller.Stats).
@@ -193,14 +201,16 @@ type Controller struct {
 	freeReqs []*request
 
 	// Event handlers bound once at construction; scheduled with the
-	// engine's AtFunc family so the hot path never allocates a closure.
+	// engine's AtFunc so the hot path never allocates a closure.
 	compFn    func(any) // arg *request: completion at data-return time
 	kickFn    func(any) // arg *channel: scheduling pass
-	idleFn    func(any) // arg *rank: idle-descent timer
 	refreshFn func()    // controller-wide tREFI refresh round
 
-	start sim.Time
-	final bool
+	// rounds counts the refresh rounds run so far; round k is due at
+	// start + k*tREFI.
+	rounds int64
+	start  sim.Time
+	final  bool
 }
 
 // New builds a controller attached to the engine.
@@ -240,11 +250,11 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	c.rankAccesses = make([]int64, cfg.Org.TotalRanks())
 	c.compFn = func(v any) { c.completeReq(v.(*request)) }
 	c.kickFn = func(v any) { c.kickTick(v.(*channel)) }
-	c.idleFn = func(v any) { c.idleTick(v.(*rank)) }
 	c.refreshFn = c.refreshTick
-	// Arm the refresh round before any idle timer: where a rank's idle
+	// Arm the refresh round before any idle descent: where a rank's idle
 	// step falls on a refresh instant, the REF goes first, so a rank that
-	// enters self-refresh there still gets that round's REF.
+	// enters self-refresh there still gets that round's REF (armDescent
+	// takes the round due at tPD as queued before the descent).
 	eng.AfterDaemon(cfg.Timing.TREFI, c.refreshFn)
 	now := eng.Now()
 	for ch := 0; ch < cfg.Org.Channels; ch++ {
@@ -259,9 +269,8 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 				banks:        make([]bank, cfg.Org.Banks()),
 				res:          metrics.NewResidency(rsCount, rsStandby, now),
 				state:        rsStandby,
-				idleSince:    now,
 				standbySince: now,
-				idleArmedAt:  -1,
+				roundCap:     noRoundCap,
 			}
 			for b := range rk.banks {
 				rk.banks[b].openRow = -1
@@ -272,7 +281,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 			}
 			chn.ranks = append(chn.ranks, rk)
 			if cfg.LowPower {
-				c.armIdleTimer(rk)
+				c.armDescent(rk)
 			}
 		}
 		c.channels = append(c.channels, chn)
@@ -333,8 +342,8 @@ func (c *Controller) SubmitCall(pa uint64, write bool, cb Completer, id uint64) 
 		c.tracer.record(c.eng.Now(), pa, write)
 	}
 	c.rankAccesses[loc.Channel*c.cfg.Org.RanksPerChannel()+loc.Rank]++
+	c.wake(chn, rk)
 	rk.pending++
-	c.wakeIfSleeping(chn, rk)
 	c.kick(chn, c.eng.Now())
 	return nil
 }
@@ -443,7 +452,7 @@ func (c *Controller) kickTick(chn *channel) {
 func (c *Controller) schedule(chn *channel) {
 	now := c.eng.Now()
 	for {
-		b, prev, nextAt := pickReady(chn, now)
+		b, prev, nextAt := c.pickReady(chn, now)
 		if b == nil {
 			if nextAt >= 0 {
 				c.kick(chn, nextAt)
@@ -462,12 +471,16 @@ func (c *Controller) schedule(chn *channel) {
 // offers its first request to the open row, or else its first request.
 // pickReady returns that request's bank and its predecessor in the
 // bank's queue (nil for the head), or a nil bank plus the earliest
-// future readiness among the banks with work (-1 if none).
-func pickReady(chn *channel, now sim.Time) (best *bank, bestPrev *request, nextAt sim.Time) {
+// future readiness among the banks with work (-1 if none). It first
+// applies the refresh rounds each bank's rank has missed.
+func (c *Controller) pickReady(chn *channel, now sim.Time) (best *bank, bestPrev *request, nextAt sim.Time) {
 	var bestReq *request
 	bestHit := false
 	nextAt = -1
 	for _, b := range chn.active {
+		if b.rk.rounds != c.rounds {
+			c.applyRefresh(b.rk)
+		}
 		if ready := maxTime2(b.rk.awakeAt, b.readyAt); ready > now {
 			if nextAt < 0 || ready < nextAt {
 				nextAt = ready
@@ -577,19 +590,28 @@ func (c *Controller) issue(chn *channel, req *request) {
 		chn.stats.ReadLatency.Add((dataEnd - req.arrive).Nanoseconds())
 	}
 
-	c.markBusy(rk, dataEnd)
+	if rk.state != rsActive {
+		rk.res.Transition(c.eng.Now(), rsActive)
+		rk.state = rsActive
+	}
 	c.eng.AtFunc(dataEnd, c.compFn, req)
 }
 
 // completeReq runs at a request's data-return time: it releases the
 // rank, recycles the request, and only then notifies the caller — so a
 // submit from inside Complete reuses the freed slot, and no free-list
-// entry ever has a completion event outstanding.
+// entry ever has a completion event outstanding. When a rank's last
+// pending request completes, all of its data has returned, so the rank
+// enters standby now and its idle descent starts.
 func (c *Controller) completeReq(req *request) {
 	rk := req.rk
 	rk.pending--
 	if rk.pending == 0 && c.cfg.LowPower {
-		c.armIdleTimer(rk)
+		now := c.eng.Now()
+		rk.res.Transition(now, rsStandby)
+		rk.state = rsStandby
+		rk.standbySince = now
+		c.armDescent(rk)
 	}
 	cb, id, arrive := req.cb, req.id, req.arrive
 	c.putReq(req)
@@ -629,92 +651,99 @@ func maxTime3(a, b, c sim.Time) sim.Time {
 
 // --- power-state policy ---
 
-// markBusy transitions the rank to active until at least busyUntil.
-// Armed idle timers need no explicit cancellation: a fired idleTick
-// re-derives liveness from the rank's state and standby-entry time.
-func (c *Controller) markBusy(rk *rank, busyUntil sim.Time) {
-	now := c.eng.Now()
-	if rk.state != rsActive {
-		rk.res.Transition(now, rsActive)
-		rk.state = rsActive
+// The idle descent (standby -> power-down after PowerDownAfter ->
+// self-refresh after SelfRefreshAfter, both from standby entry) and the
+// refresh rounds a rank receives are computed when the rank is read,
+// with no per-rank events. A step or round takes effect exactly when its
+// timer event would have run, ties included; DESIGN.md §9 "Closed-form
+// idle descent and O(1) refresh rounds" derives the rules.
+
+// armDescent starts rk's idle descent from standbySince: it takes the
+// key the power-down timer would have had, and fixes the last refresh
+// round to reach the rank before self-refresh. A round due before tSR
+// reaches it. A round due exactly at tSR was queued during the round at
+// tSR-tREFI, and reaches the rank iff that ran before the power-down
+// step, whose dispatch would have queued the self-refresh timer: always
+// when the steps are less than tREFI apart, never when more, and when
+// exactly tREFI apart iff the round due at tPD is already queued now.
+func (c *Controller) armDescent(rk *rank) {
+	tREFI := c.cfg.Timing.TREFI
+	pd := rk.standbySince + c.cfg.PowerDownAfter
+	rk.pdAt = c.eng.Reserve(pd)
+	sr := rk.standbySince + c.cfg.SelfRefreshAfter
+	last := int64((sr - c.start) / tREFI)
+	if c.start+sim.Time(last)*tREFI == sr {
+		switch gap := c.cfg.SelfRefreshAfter - c.cfg.PowerDownAfter; {
+		case gap > tREFI,
+			gap == tREFI && c.start+sim.Time(c.rounds+1)*tREFI != pd:
+			last--
+		}
 	}
-	if busyUntil > rk.idleSince {
-		rk.idleSince = busyUntil
-	}
+	rk.roundCap = last
 }
 
-// armIdleTimer begins the standby -> power-down -> self-refresh descent
-// once the rank has no pending work. Transition times are the same as
-// the captured-closure scheme this replaces — standby on last data
-// return, power-down and self-refresh at PowerDownAfter/SelfRefreshAfter
-// past standby entry — but arming allocates nothing: the timer events
-// carry only the rank, and a fired event decides from current state
-// whether it is still live.
-func (c *Controller) armIdleTimer(rk *rank) {
-	if rk.pending > 0 {
+// settle writes the steps of rk's idle descent that have run by now. The
+// power-down step runs when its reserved key has passed. The
+// self-refresh timer would have been queued by the power-down step, so a
+// self-refresh step due exactly now has run iff the event now running
+// was scheduled after that step.
+func (c *Controller) settle(rk *rank) {
+	if rk.pending > 0 || !c.cfg.LowPower {
 		return
 	}
-	now := c.eng.Now()
-	if rk.state == rsActive {
-		if rk.idleSince > now {
-			// Data still on the wire: revisit at the drain time.
-			c.armIdleAt(rk, rk.idleSince)
+	switch rk.state {
+	case rsStandby:
+		if !c.eng.Passed(rk.pdAt) {
 			return
 		}
-		rk.res.Transition(now, rsStandby)
-		rk.state = rsStandby
-		rk.idleSince = now
-		rk.standbySince = now
-	}
-	if rk.state == rsStandby && rk.standbySince == now {
-		c.armIdleAt(rk, now+c.cfg.PowerDownAfter)
-	}
-}
-
-// armIdleAt queues an idle-descent event at time at. One queued event
-// per target time suffices — idleTick carries no captured state — so
-// equal-time re-arms are deduped.
-func (c *Controller) armIdleAt(rk *rank, at sim.Time) {
-	if rk.idleArmedAt == at {
-		return
-	}
-	rk.idleArmedAt = at
-	c.eng.AtDaemonFunc(at, c.idleFn, rk)
-}
-
-// idleTick advances the idle descent one step. The event knows only its
-// rank; it is live exactly when the rank's current state says a
-// transition is due now (stale timers from an interrupted descent fall
-// through without effect, replacing the old sequence-number check).
-func (c *Controller) idleTick(rk *rank) {
-	if rk.pending > 0 {
-		return
-	}
-	now := c.eng.Now()
-	switch rk.state {
-	case rsActive:
-		// Deferred standby entry armed at the expected drain time.
-		c.armIdleTimer(rk)
-	case rsStandby:
-		if now == rk.standbySince+c.cfg.PowerDownAfter {
-			rk.res.Transition(now, rsPowerDown)
-			rk.state = rsPowerDown
-			c.armIdleAt(rk, rk.standbySince+c.cfg.SelfRefreshAfter)
-		}
+		rk.res.Transition(rk.pdAt.At, rsPowerDown)
+		rk.state = rsPowerDown
+		fallthrough
 	case rsPowerDown:
-		if now == rk.standbySince+c.cfg.SelfRefreshAfter {
-			rk.res.Transition(now, rsSelfRefresh)
-			rk.state = rsSelfRefresh
+		sr, now := rk.standbySince+c.cfg.SelfRefreshAfter, c.eng.Now()
+		if sr > now || sr == now && !c.eng.BornAfter(rk.pdAt) {
+			return
 		}
+		rk.res.Transition(sr, rsSelfRefresh)
+		rk.state = rsSelfRefresh
 	}
 }
 
-// wakeIfSleeping applies the tXP/tXS wake penalty when a request arrives at
-// a sleeping rank.
-func (c *Controller) wakeIfSleeping(chn *channel, rk *rank) {
+// applyRefresh applies to rk the refresh rounds run since it was last
+// read, up to its roundCap. Each REF blocks the rank for tRFC from
+// max(round, awakeAt) and closes its rows, so m rounds ending at round
+// T leave awakeAt = max(T + tRFC, awakeAt + m*tRFC) (rounds are tREFI >
+// tRFC apart) and need one row-epoch bump. awakeAt never decreases, so
+// the refresh end dominates every bank's earlier readyAt: the readers
+// (pickReady, timeRequest) take the max of the two, and issue overwrites
+// readyAt.
+func (c *Controller) applyRefresh(rk *rank) {
+	from, last := rk.rounds, c.rounds
+	rk.rounds = c.rounds
+	if rk.roundCap < last {
+		last = rk.roundCap
+	}
+	m := last - from
+	if m <= 0 {
+		return
+	}
+	t := &c.cfg.Timing
+	rk.chn.stats.Refreshes += m
+	rk.awakeAt = maxTime2(c.start+sim.Time(last)*t.TREFI+t.TRFC, rk.awakeAt+sim.Time(m)*t.TRFC)
+	rk.rowEpoch++ // closes every open row of the rank
+}
+
+// wake brings rk up to date as a request arrives and ends its idle
+// descent: the descent's due steps, the refresh rounds it missed, then
+// the tXP/tXS exit penalty if it was asleep. SubmitCall calls it before
+// counting the request in pending, which settle reads.
+func (c *Controller) wake(chn *channel, rk *rank) {
+	c.settle(rk)
+	c.applyRefresh(rk)
+	rk.roundCap = noRoundCap
 	now := c.eng.Now()
 	// awakeAt only grows here (the max keeps a REF still in progress), so
-	// it stays the non-decreasing bound that lets refreshTick leave
+	// it stays the non-decreasing bound that lets applyRefresh leave
 	// per-bank readyAt alone.
 	switch rk.state {
 	case rsPowerDown:
@@ -736,30 +765,16 @@ func (c *Controller) wakeIfSleeping(chn *channel, rk *rank) {
 // --- refresh ---
 
 // refreshTick is one tREFI refresh round: a single controller-wide daemon
-// event (armed in New before any idle timer, self-rescheduling) that sends
-// a REF to every rank in channel, then rank, order; DESIGN.md §9
-// "Refresh" shows that this equals one REF chain per rank exactly. Ranks
-// in self-refresh skip controller REF commands (the device refreshes
-// itself). A REF costs O(1) per rank: it touches no per-bank state.
+// event (armed in New before any idle descent, self-rescheduling) that
+// sends a REF to every rank not in self-refresh (the device refreshes
+// itself there). It only counts the round; each rank applies the rounds
+// it missed when it is next read (applyRefresh). DESIGN.md §9 "Refresh"
+// shows that this equals one REF chain per rank exactly.
 func (c *Controller) refreshTick() {
 	if c.final {
 		return
 	}
-	now, trfc := c.eng.Now(), c.cfg.Timing.TRFC
-	for _, chn := range c.channels {
-		for _, rk := range chn.ranks {
-			if rk.state == rsSelfRefresh {
-				continue
-			}
-			chn.stats.Refreshes++
-			// awakeAt never decreases, so the refresh end now dominates
-			// every bank's readyAt from before this REF: the readers
-			// (pickReady, timeRequest) take the max of the two, and issue
-			// overwrites readyAt. No bank needs its readyAt raised.
-			rk.awakeAt = maxTime2(now, rk.awakeAt) + trfc
-			rk.rowEpoch++ // closes every open row of the rank
-		}
-	}
+	c.rounds++
 	c.eng.AfterDaemon(c.cfg.Timing.TREFI, c.refreshFn)
 }
 
@@ -794,19 +809,22 @@ func (c *Controller) ExitGroupDPD(g int, ready func()) error {
 
 // --- reporting ---
 
-// Finalize freezes residency meters at the current time. Call once, after
-// the simulation drains; reporting methods may be used afterwards.
+// Finalize settles every rank's idle descent and refresh rounds and
+// freezes residency meters at the current time. Call once, after the
+// simulation drains; reporting methods may be used afterwards.
 func (c *Controller) Finalize() {
 	if c.final {
 		return
 	}
-	c.final = true
 	now := c.eng.Now()
 	for _, ch := range c.channels {
 		for _, rk := range ch.ranks {
+			c.settle(rk)
+			c.applyRefresh(rk)
 			rk.res.Finalize(now)
 		}
 	}
+	c.final = true
 }
 
 // accumulate folds another channel's counters into s (channel-index
@@ -828,9 +846,13 @@ func (s *Stats) accumulate(o *Stats) {
 // the merged percentiles depend on this per-channel split and order; one
 // controller-wide distribution would report different percentiles. The
 // snapshot is detached: it does not track later controller activity.
+// It first applies the refresh rounds each rank has missed.
 func (c *Controller) Stats() *Stats {
 	out := &Stats{}
 	for _, ch := range c.channels {
+		for _, rk := range ch.ranks {
+			c.applyRefresh(rk)
+		}
 		out.accumulate(&ch.stats)
 	}
 	return out
@@ -873,8 +895,12 @@ func (c *Controller) AccessesByRank() []int64 {
 }
 
 // SelfRefreshFraction reports the average fraction of time ranks spent in
-// self-refresh — the paper's Fig. 3b metric.
+// self-refresh — the paper's Fig. 3b metric. Call after Finalize: until
+// then an idle descent's steps are not written to the residency meters.
 func (c *Controller) SelfRefreshFraction() float64 {
+	if !c.final {
+		panic("mc: SelfRefreshFraction before Finalize")
+	}
 	var sr, total sim.Time
 	for _, ch := range c.channels {
 		for _, rk := range ch.ranks {
@@ -891,8 +917,11 @@ func (c *Controller) SelfRefreshFraction() float64 {
 }
 
 // LowPowerFraction reports the average fraction of time ranks spent in
-// power-down or self-refresh.
+// power-down or self-refresh. Call after Finalize, as SelfRefreshFraction.
 func (c *Controller) LowPowerFraction() float64 {
+	if !c.final {
+		panic("mc: LowPowerFraction before Finalize")
+	}
 	var lp, total sim.Time
 	for _, ch := range c.channels {
 		for _, rk := range ch.ranks {

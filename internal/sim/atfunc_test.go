@@ -2,9 +2,10 @@ package sim
 
 import "testing"
 
-// TestAtFuncOrdering interleaves closure events and arg-carrying events
-// at the same timestamp: both forms share one sequence counter, so they
-// must run in scheduling order regardless of which API scheduled them.
+// TestAtFuncOrdering interleaves closure events, arg-carrying events and
+// daemon events at the same timestamp: all share one sequence counter,
+// so they must run in scheduling order regardless of which API scheduled
+// them.
 func TestAtFuncOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -12,12 +13,15 @@ func TestAtFuncOrdering(t *testing.T) {
 	e.At(Nanosecond, func() { order = append(order, 0) })
 	e.AtFunc(Nanosecond, appendIdx, 1)
 	e.At(Nanosecond, func() { order = append(order, 2) })
-	e.AtDaemonFunc(Nanosecond, appendIdx, 3)
-	e.AfterFunc(Nanosecond, appendIdx, 4)
+	e.AtDaemon(Nanosecond, func() { order = append(order, 3) })
+	e.AtFunc(Nanosecond, appendIdx, 4)
 	e.Run()
+	if len(order) != 5 {
+		t.Fatalf("ran %d of 5 events: %v", len(order), order)
+	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("mixed At/AtFunc events ran out of order: %v", order)
+			t.Fatalf("mixed At/AtFunc/AtDaemon events ran out of order: %v", order)
 		}
 	}
 }
@@ -50,9 +54,9 @@ func TestAtFuncSteadyStateAllocs(t *testing.T) {
 	var step func(any)
 	step = func(v any) {
 		*v.(*int)++
-		e.AfterFunc(Nanosecond, step, v)
+		e.AtFunc(e.Now()+Nanosecond, step, v)
 	}
-	e.AfterFunc(Nanosecond, step, ticks)
+	e.AtFunc(Nanosecond, step, ticks)
 	e.RunUntil(100 * Nanosecond) // warm up queue and free list
 
 	deadline := e.Now()

@@ -4,24 +4,36 @@ import "fmt"
 
 // Event is a callback scheduled to run at a particular simulated time.
 // Events scheduled for the same time run in scheduling order (stable).
-// Daemon events (periodic refresh, idle timers) do not keep Run alive:
-// Run returns once only daemon events remain.
+// Daemon events (periodic refresh) do not keep Run alive: Run returns
+// once only daemon events remain.
 //
 // Event objects are owned by the engine and recycled through a free list
 // once dispatched, so steady-state scheduling (the self-rescheduling
 // timer pattern every model here uses) allocates nothing per event.
 //
 // An event carries either a plain callback (fn) or an argument-carrying
-// callback (afn + arg); the AtFunc family schedules the latter so hot
-// paths can reuse one long-lived handler instead of allocating a closure
-// per event.
+// callback (afn + arg); AtFunc schedules the latter so hot paths can
+// reuse one long-lived handler instead of allocating a closure per event.
 type Event struct {
 	at     Time
 	seq    uint64
 	fn     func()
 	afn    func(any)
 	arg    any
+	born   Pos // the cursor when the event was scheduled
 	daemon bool
+}
+
+// Pos is a place in the engine's dispatch order: the (time, seq) key an
+// event dispatches by. Keys are unique, and events run in key order.
+type Pos struct {
+	At  Time
+	Seq uint64
+}
+
+// Before reports whether p sorts before q.
+func (p Pos) Before(q Pos) bool {
+	return p.At < q.At || p.At == q.At && p.Seq < q.Seq
 }
 
 // Engine is a deterministic discrete-event simulation engine.
@@ -32,7 +44,14 @@ type Event struct {
 // stdlib heap cost real time on the dispatch path, which executes tens of
 // millions of events per experiment sweep.
 type Engine struct {
-	now     Time
+	// cur is the key of the event now dispatching; between dispatches,
+	// the last key dispatched, or, once RunUntil has run every event up
+	// to its deadline, (deadline, next seq): past every key queued by
+	// then and before every key taken later. born is the running event's
+	// birth (the cursor when it was scheduled), or cur itself after such
+	// a RunUntil. cur.At is the clock.
+	cur     Pos
+	born    Pos
 	seq     uint64
 	queue   []*Event
 	free    []*Event // dispatched events awaiting reuse
@@ -44,7 +63,7 @@ type Engine struct {
 	stopCheck  func() bool // nil: no external cancellation
 
 	// The fields above are written on every event. Without this pad an
-	// Engine is 104 bytes, and on a 2-vCPU VM the quick tail experiment at
+	// Engine was 104 bytes, and on a 2-vCPU VM the quick tail experiment at
 	// parallelism 2 ran 14% slower (medians 3.35 s vs 2.95 s, 9 of 10
 	// pairs lost) while parallelism 1 stayed flat; with it, parity
 	// returned (3.25 s vs 3.26 s). The likely cause is that two parallel
@@ -58,27 +77,27 @@ func NewEngine() *Engine {
 }
 
 // Now reports the current simulated time.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine) Now() Time { return e.cur.At }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
 // it always indicates a modelling bug, and silently reordering events would
 // corrupt every downstream statistic.
 func (e *Engine) At(at Time, fn func()) {
-	e.push(at, fn, false)
+	e.push(at, fn, nil, nil, false)
 }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+func (e *Engine) After(d Time, fn func()) { e.At(e.cur.At+d, fn) }
 
 // AtDaemon schedules a daemon event: it runs normally under RunUntil and
 // whenever ordinary events are still pending, but does not by itself keep
-// Run alive. Use for perpetual background activity (refresh, idle timers).
+// Run alive. Use for perpetual background activity such as refresh.
 func (e *Engine) AtDaemon(at Time, fn func()) {
-	e.push(at, fn, true)
+	e.push(at, fn, nil, nil, true)
 }
 
 // AfterDaemon schedules a daemon event d after the current time.
-func (e *Engine) AfterDaemon(d Time, fn func()) { e.AtDaemon(e.now+d, fn) }
+func (e *Engine) AfterDaemon(d Time, fn func()) { e.AtDaemon(e.cur.At+d, fn) }
 
 // AtFunc schedules fn(arg) at absolute time at. It orders exactly like
 // At (same seq counter, same heap), but because fn is typically a
@@ -86,54 +105,64 @@ func (e *Engine) AfterDaemon(d Time, fn func()) { e.AtDaemon(e.now+d, fn) }
 // the call allocates nothing: no closure is created and pointer args are
 // boxed for free.
 func (e *Engine) AtFunc(at Time, fn func(any), arg any) {
-	e.pushArg(at, fn, arg, false)
+	e.push(at, nil, fn, arg, false)
 }
 
-// AfterFunc schedules fn(arg) d after the current time.
-func (e *Engine) AfterFunc(d Time, fn func(any), arg any) { e.AtFunc(e.now+d, fn, arg) }
-
-// AtDaemonFunc schedules fn(arg) as a daemon event (see AtDaemon).
-func (e *Engine) AtDaemonFunc(at Time, fn func(any), arg any) {
-	e.pushArg(at, fn, arg, true)
+// Reserve consumes the seq an event scheduled now for time at would take
+// and returns that event's key, queuing nothing. A model that computes a
+// timer's effect when it is read, instead of dispatching it, compares the
+// key with the cursor (Passed) to resolve ties exactly as the event would
+// have.
+func (e *Engine) Reserve(at Time) Pos {
+	if at < e.cur.At {
+		e.pastPanic(at)
+	}
+	e.seq++
+	return Pos{at, e.seq}
 }
 
-// AfterDaemonFunc schedules a daemon fn(arg) d after the current time.
-func (e *Engine) AfterDaemonFunc(d Time, fn func(any), arg any) {
-	e.AtDaemonFunc(e.now+d, fn, arg)
-}
+// Passed reports whether an event keyed p would already have run: p is
+// before the event now dispatching or, between dispatches, at or before
+// the last key run (after a RunUntil that was not stopped, every key
+// taken by then up to the deadline).
+func (e *Engine) Passed(p Pos) bool { return p.Before(e.cur) }
 
-func (e *Engine) push(at Time, fn func(), daemon bool) {
-	ev := e.alloc(at, daemon)
-	ev.fn = fn
-	e.queue = append(e.queue, ev)
-	e.siftUp(len(e.queue) - 1)
-}
+// BornAfter reports whether the event now dispatching (between
+// dispatches, the last one run) was scheduled after an event keyed p
+// would have run. An event that an event keyed p would have scheduled
+// for the current instant has therefore run iff BornAfter(p): the two
+// were scheduled in that order. After a RunUntil that was not stopped it
+// equals Passed(p).
+func (e *Engine) BornAfter(p Pos) bool { return p.Before(e.born) }
 
-func (e *Engine) pushArg(at Time, fn func(any), arg any, daemon bool) {
-	ev := e.alloc(at, daemon)
-	ev.afn, ev.arg = fn, arg
-	e.queue = append(e.queue, ev)
-	e.siftUp(len(e.queue) - 1)
-}
-
-// alloc pops a recycled Event (or makes one) with at/seq/daemon set and
-// both callback forms clear.
-func (e *Engine) alloc(at Time, daemon bool) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+// push queues an event for time at that calls fn, or afn(arg), taking
+// a recycled Event when one is free. It is one call on the schedule
+// path, which every event takes.
+func (e *Engine) push(at Time, fn func(), afn func(any), arg any, daemon bool) {
+	if at < e.cur.At {
+		e.pastPanic(at)
 	}
 	e.seq++
 	if !daemon {
 		e.normal++
 	}
+	var ev *Event
 	if k := len(e.free) - 1; k >= 0 {
-		ev := e.free[k]
+		ev = e.free[k]
 		e.free[k] = nil
 		e.free = e.free[:k]
-		ev.at, ev.seq, ev.daemon = at, e.seq, daemon
-		return ev
+	} else {
+		ev = new(Event)
 	}
-	return &Event{at: at, seq: e.seq, daemon: daemon}
+	ev.at, ev.seq, ev.born, ev.daemon = at, e.seq, e.cur, daemon
+	ev.fn, ev.afn, ev.arg = fn, afn, arg
+	e.queue = append(e.queue, ev)
+	e.siftUp(len(e.queue) - 1)
+}
+
+// pastPanic rejects a schedule before now (see At).
+func (e *Engine) pastPanic(at Time) {
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.cur.At))
 }
 
 // less orders the heap by time, then scheduling order.
@@ -241,23 +270,23 @@ func (e *Engine) SetStopCheck(every int, stop func() bool) {
 // exhausting its work.
 func (e *Engine) Interrupted() bool { return e.stopped }
 
-// interrupted polls the external stop check on its stride and folds the
-// answer into e.stopped. Called once per loop iteration.
+// interrupted reports whether Stop was called or the external stop check,
+// polled on its stride, asked to stop. Called once per loop iteration,
+// so it is small enough to inline: without a stop check it costs two
+// loads, not a call.
 func (e *Engine) interrupted() bool {
-	if e.stopped {
-		return true
-	}
-	if e.stopCheck == nil {
-		return false
-	}
+	return e.stopped || e.stopCheck != nil && e.pollStop()
+}
+
+// pollStop counts down the stop check's stride and, when it runs out,
+// calls the check and folds its answer into e.stopped.
+func (e *Engine) pollStop() bool {
 	if e.checkIn > 0 {
 		e.checkIn--
 		return false
 	}
 	e.checkIn = e.checkEvery - 1
-	if e.stopCheck() {
-		e.stopped = true
-	}
+	e.stopped = e.stopCheck()
 	return e.stopped
 }
 
@@ -277,7 +306,7 @@ func (e *Engine) RunUntil(deadline Time) int {
 		if !ev.daemon {
 			e.normal--
 		}
-		e.now = ev.at
+		e.cur, e.born = Pos{ev.at, ev.seq}, ev.born
 		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		e.recycle(ev) // before the callback: a schedule inside it reuses the slot
 		if afn != nil {
@@ -287,8 +316,10 @@ func (e *Engine) RunUntil(deadline Time) int {
 		}
 		n++
 	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
+	if !e.stopped && deadline >= e.cur.At {
+		// Every key queued up to the deadline has run.
+		e.cur = Pos{deadline, e.seq + 1}
+		e.born = e.cur
 	}
 	return n
 }
@@ -306,7 +337,7 @@ func (e *Engine) Run() int {
 		if !ev.daemon {
 			e.normal--
 		}
-		e.now = ev.at
+		e.cur, e.born = Pos{ev.at, ev.seq}, ev.born
 		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		e.recycle(ev)
 		if afn != nil {

@@ -61,6 +61,109 @@ func tieScript(t *testing.T, script []byte) {
 	}
 }
 
+// reserveScript replays a tie script on two engines. Where a byte has bit
+// 5 set, the script also takes a key at a small offset from now: engine
+// a calls Reserve, and its twin b queues a daemon "shadow" event there
+// instead. When a shadow runs it queues a "child" a few ns later, the way
+// a power-down timer queued the self-refresh timer. Both engines run the
+// same real events in the same order, and at every real dispatch and
+// after every Run or RunUntil, a's answers must match b's dispatch log:
+//   - Passed(key) iff the shadow has run;
+//   - BornAfter(key), during a dispatch, iff the shadow ran before the
+//     running event was scheduled;
+//   - the child's step has passed (due before now, or due now and
+//     BornAfter(key)) iff the child has run.
+func reserveScript(t *testing.T, script []byte) {
+	t.Helper()
+	type resv struct {
+		key     Pos
+		childAt Time
+		ranAt   int // b: dispatch ordinal of the shadow (0: not run)
+		child   bool
+	}
+	run := func(twin bool) []bool {
+		e := NewEngine()
+		var rs []*resv
+		var answers []bool
+		dispatched := 0
+		record := func(bornAt int, inDispatch bool) {
+			for _, r := range rs {
+				if twin {
+					answers = append(answers, r.ranAt > 0, r.child)
+					if inDispatch {
+						answers = append(answers, r.ranAt > 0 && r.ranAt <= bornAt)
+					}
+					continue
+				}
+				answers = append(answers, e.Passed(r.key),
+					r.childAt < e.Now() || r.childAt == e.Now() && e.BornAfter(r.key))
+				if inDispatch {
+					answers = append(answers, e.BornAfter(r.key))
+				}
+			}
+		}
+		reserve := func(b byte) {
+			at := e.Now() + Time(b>>6)*Nanosecond
+			r := &resv{childAt: at + Time((b>>1)&3)*Nanosecond}
+			rs = append(rs, r)
+			if !twin {
+				r.key = e.Reserve(at)
+				return
+			}
+			e.AtDaemon(at, func() {
+				dispatched++
+				r.ranAt = dispatched
+				e.AtDaemon(r.childAt, func() {
+					dispatched++
+					r.child = true
+				})
+			})
+		}
+		var schedule func(depth int, b byte)
+		schedule = func(depth int, b byte) {
+			at := e.Now() + Time(b&3)*Nanosecond
+			bornAt := dispatched
+			fn := func() {
+				dispatched++
+				record(bornAt, true)
+				if depth < 3 && b&8 != 0 {
+					schedule(depth+1, b>>2)
+				}
+				if b&32 != 0 {
+					reserve(b >> 1)
+				}
+			}
+			if b&4 != 0 {
+				e.AtDaemon(at, fn)
+			} else {
+				e.At(at, fn)
+			}
+		}
+		for _, b := range script {
+			schedule(0, b)
+			if b&32 != 0 {
+				reserve(b)
+			}
+			if b&16 != 0 {
+				e.RunUntil(e.Now() + Time(b&3)*Nanosecond)
+				record(0, false)
+			}
+		}
+		e.Run()
+		record(0, false)
+		return answers
+	}
+	a, b := run(false), run(true)
+	if len(a) != len(b) {
+		t.Fatalf("engines recorded %d and %d answers", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("answer %d: reserved key says %t, twin's dispatch log says %t", i, a[i], b[i])
+		}
+	}
+}
+
 func FuzzEngineTieBreak(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -72,6 +175,11 @@ func FuzzEngineTieBreak(f *testing.F) {
 			t.Skip("bound the event count")
 		}
 		tieScript(t, script)
+		// reserveScript records every reservation's answers at every
+		// dispatch, quadratic in the script's length.
+		if len(script) <= 1024 {
+			reserveScript(t, script)
+		}
 	})
 }
 
@@ -87,5 +195,6 @@ func TestTieBreakSeeds(t *testing.T) {
 	}
 	for _, s := range seeds {
 		tieScript(t, s)
+		reserveScript(t, s)
 	}
 }

@@ -34,6 +34,12 @@ echo "==> alloc regression (engine, controller, workload, buddy, hotplug hot pat
 # tests also run race-instrumented in the repo-wide pass below.
 go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/
 
+echo "==> fuzz engine tie-break (10s)"
+# The engine's equal-time ordering and its reserved-key answers (Passed,
+# BornAfter), which the controller's closed-form idle descent relies on,
+# checked against a twin engine on fuzzed schedules beyond the seeds.
+go test -run '^$' -fuzz FuzzEngineTieBreak -fuzztime 10s ./internal/sim/
+
 echo "==> go test -race ./..."
 # Every package's tests run under the race detector here, among them the
 # concurrency surfaces (sweep, cluster, store, memo, obs, the mc request
