@@ -108,6 +108,7 @@ type Daemon struct {
 
 	stall   func(sim.Time) // optional CPU-cost sink (workload core)
 	running bool
+	tick    func() // the monitor timer's callback, bound once
 	stats   Stats
 
 	// Adaptive-alpha state: recent per-tick used-memory growth.
@@ -176,6 +177,13 @@ func New(eng *sim.Engine, mem *kernel.Mem, hp *hotplug.Manager, ctrl PowerContro
 		offlineBlocksTS: metrics.NewWeightedValue(0, eng.Now()),
 		dpdFracTS:       metrics.NewWeightedValue(0, eng.Now()),
 	}
+	d.tick = func() {
+		if !d.running {
+			return
+		}
+		d.Tick()
+		d.armTick()
+	}
 	return d, nil
 }
 
@@ -196,15 +204,7 @@ func (d *Daemon) Start() {
 // Stop halts monitoring.
 func (d *Daemon) Stop() { d.running = false }
 
-func (d *Daemon) armTick() {
-	d.eng.AfterDaemon(d.cfg.Period, func() {
-		if !d.running {
-			return
-		}
-		d.Tick()
-		d.armTick()
-	})
-}
+func (d *Daemon) armTick() { d.eng.AfterDaemon(d.cfg.Period, d.tick) }
 
 // charge accounts CPU time to the stall sink and the stats.
 func (d *Daemon) charge(t sim.Time) {
@@ -445,7 +445,7 @@ func overlap(lo, hi uint64, g int, groupBytes int64) int64 {
 // selectBlock implements block_selector() through the policy pipeline.
 // attempted blocks are skipped within one tick. Returns -1 when no
 // candidate exists.
-func (d *Daemon) selectBlock(attempted map[int]bool) int {
+func (d *Daemon) selectBlock(attempted []bool) int {
 	lastEligible := d.hp.Blocks() // exclusive bound of eligible indexes
 	firstEligible := 0
 	if d.cfg.OfflinableBytes > 0 {

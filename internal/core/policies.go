@@ -6,13 +6,14 @@ import (
 )
 
 // SelectView is the world a Policy sees for one decision: the eligible
-// block index range [First, Last), hotplug state, the daemon RNG, the
-// configured tracker (nil for the trackerless paper policies), and the
-// per-block off-lining timestamps the selector maintains. The daemon
-// reuses one view across calls, so policies must not retain it.
+// block index range [First, Last), the blocks already attempted this
+// tick (Attempted[b], one entry per block), hotplug state, the daemon
+// RNG, the configured tracker (nil for the trackerless paper policies),
+// and the per-block off-lining timestamps the selector maintains. The
+// daemon reuses one view across calls, so policies must not retain it.
 type SelectView struct {
 	First, Last int
-	Attempted   map[int]bool
+	Attempted   []bool
 	HP          *hotplug.Manager
 	RNG         *sim.RNG
 	Tracker     Tracker

@@ -165,7 +165,7 @@ func pipelineView(t *testing.T) (*SelectView, *kernel.Mem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &SelectView{First: 0, Last: hp.Blocks(), Attempted: map[int]bool{}, HP: hp}, mem
+	return &SelectView{First: 0, Last: hp.Blocks(), Attempted: make([]bool, hp.Blocks()), HP: hp}, mem
 }
 
 func TestAgeThresholdPicksOldestIdle(t *testing.T) {
@@ -315,6 +315,33 @@ func TestDaemonTickAllocFree(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(100, func() { r.d.keepOffline(0) }); got != 0 {
 				t.Errorf("on-lining veto allocates %.1f times", got)
+			}
+		})
+	}
+}
+
+// TestDaemonTickLoopSteadyStateAllocs drives the engine itself across
+// steady-state monitor periods, so the timer that re-arms each tick is
+// measured along with Tick: 100 periods per run must not allocate once.
+func TestDaemonTickLoopSteadyStateAllocs(t *testing.T) {
+	for _, d := range policyDefs {
+		spec := PolicySpec{Name: d.info.Name}
+		t.Run(spec.Name, func(t *testing.T) {
+			const period = 100 * sim.Millisecond
+			r := newRig(t, Config{Period: period, MaxOfflinePerTick: 32, Policy: spec}, kernel.Config{})
+			if _, err := r.mem.AllocPages(200*oneMB/pageSize, true, 5); err != nil {
+				t.Fatal(err)
+			}
+			r.d.Start()
+			r.eng.RunUntil(20 * sim.Second)
+			ticks := r.d.Stats().Ticks
+			if got := testing.AllocsPerRun(1, func() {
+				r.eng.RunUntil(r.eng.Now() + 100*period)
+			}); got != 0 {
+				t.Errorf("100 monitor periods allocate %.0f times", got)
+			}
+			if n := r.d.Stats().Ticks - ticks; n < 200 {
+				t.Fatalf("ran %d ticks, want 100 per run (warm-up and measured)", n)
 			}
 		})
 	}

@@ -12,7 +12,7 @@ type selector struct {
 	tracker Tracker
 
 	view       SelectView
-	attempted  map[int]bool
+	attempted  []bool
 	offlinedAt []sim.Time
 }
 
@@ -30,7 +30,7 @@ func newSelector(spec PolicySpec, blocks int, start sim.Time) (*selector, error)
 	s := &selector{
 		spec:       norm,
 		policy:     pd.build(norm),
-		attempted:  make(map[int]bool, blocks),
+		attempted:  make([]bool, blocks),
 		offlinedAt: make([]sim.Time, blocks),
 	}
 	if norm.Tracker != "" {

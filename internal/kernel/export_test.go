@@ -8,3 +8,6 @@ func ZoneFree(m *Mem) (normal, movable int64) {
 	}
 	return m.normal.Free(), movable
 }
+
+// OwnerSlots reports the size of the owner table, recycled slots included.
+func OwnerSlots(m *Mem) int { return len(m.owners) }

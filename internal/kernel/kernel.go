@@ -73,9 +73,19 @@ type Config struct {
 }
 
 // pageMeta is per-page-frame metadata (kept small: millions of instances).
+// slot is the owner's slot in Mem.owners. Free, isolated and offline pages
+// hold slot 0, KernelOwner's, so Owner reports KernelOwner for them.
 type pageMeta struct {
 	state PageState
-	owner uint32
+	slot  uint32
+}
+
+// ownerList is one slot of the owner table: an owner id and its pages.
+// Pages are removed by swap-remove, so their order is allocation order
+// only until the first removal; OwnerPage exposes it as is.
+type ownerList struct {
+	id    uint32
+	pages []PFN
 }
 
 // Mem is the machine's physical memory manager.
@@ -87,11 +97,23 @@ type Mem struct {
 	movable  *buddy // nil without a movable zone
 	movStart PFN    // first movable-zone PFN (== npages when no zone)
 
-	// ownerPages tracks each owner's pages for LIFO partial frees and
-	// whole-owner teardown. posInOwner[pfn] is the page's index in its
-	// owner's slice (swap-remove bookkeeping).
-	ownerPages map[uint32][]PFN
+	// owners tracks each live owner's pages for LIFO partial frees,
+	// whole-owner teardown and OwnerPage. pageMeta.slot indexes it, so
+	// per-page bookkeeping never hashes; ownerSlot maps an owner id to its
+	// slot once per call. Slot 0 belongs to KernelOwner for good; FreeOwner
+	// returns every other slot to freeSlots, keeping its list's array for
+	// the next owner there, so the table grows with the owners alive at
+	// once, not with the largest id. posInOwner[pfn] is the page's index
+	// in its owner's list (swap-remove bookkeeping).
+	owners     []ownerList
+	ownerSlot  map[uint32]uint32
+	freeSlots  []uint32
 	posInOwner []int32
+	// lastOwner's slot is lastSlot: address generators ask for one
+	// owner's pages on every access, so OwnerPage skips the map for it.
+	// KernelOwner and slot 0 always agree, which makes them the reset.
+	lastOwner uint32
+	lastSlot  uint32
 
 	onlinePages int64
 	usedPages   int64 // movable + unmovable
@@ -136,7 +158,8 @@ func New(cfg Config) (*Mem, error) {
 		cfg:         cfg,
 		npages:      npages,
 		pages:       make([]pageMeta, npages),
-		ownerPages:  make(map[uint32][]PFN),
+		owners:      []ownerList{{id: KernelOwner}},
+		ownerSlot:   map[uint32]uint32{KernelOwner: 0},
 		posInOwner:  make([]int32, npages),
 		movStart:    PFN(npages - movPages),
 		onlinePages: npages,
@@ -179,7 +202,7 @@ func (m *Mem) bootReserve() error {
 				continue
 			}
 			if m.carveSpecific(pfn) {
-				m.setAllocated(pfn, false, KernelOwner)
+				m.setAllocated(pfn, false, 0)
 			}
 		}
 	}
@@ -196,7 +219,7 @@ func (m *Mem) NPages() int64 { return m.npages }
 func (m *Mem) State(pfn PFN) PageState { return m.pages[pfn].state }
 
 // Owner returns the owner of an allocated page.
-func (m *Mem) Owner(pfn PFN) uint32 { return m.pages[pfn].owner }
+func (m *Mem) Owner(pfn PFN) uint32 { return m.owners[m.pages[pfn].slot].id }
 
 // Meminfo mirrors the /proc/meminfo fields GreenDIMM's usage monitor reads.
 type Meminfo struct {
@@ -237,16 +260,49 @@ func (m *Mem) zoneFor(pfn PFN) *buddy {
 	return m.normal
 }
 
-// setAllocated marks a page allocated and registers owner bookkeeping.
-func (m *Mem) setAllocated(pfn PFN, movableAlloc bool, owner uint32) {
+// slotOf returns owner's slot in the owner table, giving a new owner a
+// recycled slot or a new one.
+func (m *Mem) slotOf(owner uint32) uint32 {
+	if s, ok := m.ownerSlot[owner]; ok {
+		return s
+	}
+	var s uint32
+	if k := len(m.freeSlots) - 1; k >= 0 {
+		s = m.freeSlots[k]
+		m.freeSlots = m.freeSlots[:k]
+		m.owners[s].id = owner
+	} else {
+		s = uint32(len(m.owners))
+		m.owners = append(m.owners, ownerList{id: owner})
+	}
+	m.ownerSlot[owner] = s
+	return s
+}
+
+// ownerPages returns owner's pages, nil for an owner without a slot.
+func (m *Mem) ownerPages(owner uint32) []PFN {
+	if owner == m.lastOwner {
+		return m.owners[m.lastSlot].pages
+	}
+	s, ok := m.ownerSlot[owner]
+	if !ok {
+		return nil
+	}
+	m.lastOwner, m.lastSlot = owner, s
+	return m.owners[s].pages
+}
+
+// setAllocated marks a page allocated to the owner in slot s and appends
+// it to the owner's list.
+func (m *Mem) setAllocated(pfn PFN, movableAlloc bool, s uint32) {
 	st := PageUnmovable
 	if movableAlloc {
 		st = PageMovable
 	}
-	m.pages[pfn] = pageMeta{state: st, owner: owner}
-	lst := m.ownerPages[owner]
-	m.posInOwner[pfn] = int32(len(lst))
-	m.ownerPages[owner] = append(lst, pfn)
+	m.pages[pfn] = pageMeta{state: st, slot: s}
+	o := &m.owners[s]
+	m.posInOwner[pfn] = int32(len(o.pages))
+	o.pages = append(o.pages, pfn)
 	m.usedPages++
 	if m.pageTap != nil {
 		m.pageTap(pfn, true)
@@ -256,13 +312,12 @@ func (m *Mem) setAllocated(pfn PFN, movableAlloc bool, owner uint32) {
 // clearAllocated removes owner bookkeeping; the caller decides the next
 // page state.
 func (m *Mem) clearAllocated(pfn PFN) {
-	owner := m.pages[pfn].owner
-	lst := m.ownerPages[owner]
+	o := &m.owners[m.pages[pfn].slot]
 	pos := m.posInOwner[pfn]
-	last := lst[len(lst)-1]
-	lst[pos] = last
+	last := o.pages[len(o.pages)-1]
+	o.pages[pos] = last
 	m.posInOwner[last] = pos
-	m.ownerPages[owner] = lst[:len(lst)-1]
+	o.pages = o.pages[:len(o.pages)-1]
 	m.usedPages--
 	if m.pageTap != nil {
 		m.pageTap(pfn, false)
@@ -277,7 +332,24 @@ func (m *Mem) AllocPages(n int64, movableAlloc bool, owner uint32) ([]PFN, error
 	if n <= 0 {
 		return nil, fmt.Errorf("kernel: non-positive allocation %d", n)
 	}
-	var got []PFN
+	// Size the result once, but never beyond the free pages: a request
+	// that cannot fit fails (or reclaims and grows) rather than
+	// allocating its full size first.
+	avail := m.normal.Free()
+	if movableAlloc && m.movable != nil {
+		avail += m.movable.Free()
+	}
+	got, err := m.alloc(make([]PFN, 0, min(n, avail)), n, movableAlloc, m.slotOf(owner))
+	if err != nil {
+		return nil, err
+	}
+	return got, nil
+}
+
+// alloc appends n pages for the owner in slot s to got. On failure it
+// frees the pages it took and returns got as it came.
+func (m *Mem) alloc(got []PFN, n int64, movableAlloc bool, s uint32) ([]PFN, error) {
+	start := len(got)
 	remaining := n
 	zones := []*buddy{m.normal}
 	if movableAlloc && m.movable != nil {
@@ -305,7 +377,7 @@ func (m *Mem) AllocPages(n int64, movableAlloc bool, owner uint32) ([]PFN, error
 			}
 			cnt := int64(1) << order
 			for i := int64(0); i < cnt; i++ {
-				m.setAllocated(pfn+PFN(i), movableAlloc, owner)
+				m.setAllocated(pfn+PFN(i), movableAlloc, s)
 				got = append(got, pfn+PFN(i))
 			}
 			remaining -= cnt
@@ -323,16 +395,15 @@ func (m *Mem) AllocPages(n int64, movableAlloc bool, owner uint32) ([]PFN, error
 			ok := m.reclaimer(remaining)
 			m.reclaiming = false
 			if ok {
-				rest, err := m.AllocPages(remaining, movableAlloc, owner)
-				if err == nil {
-					return append(got, rest...), nil
+				if more, err := m.alloc(got, remaining, movableAlloc, s); err == nil {
+					return more, nil
 				}
 			}
 		}
-		for _, pfn := range got {
+		for _, pfn := range got[start:] {
 			m.freeOne(pfn)
 		}
-		return nil, ErrNoMemory
+		return got[:start], ErrNoMemory
 	}
 	return got, nil
 }
@@ -364,12 +435,22 @@ func (m *Mem) freeOne(pfn PFN) {
 // (LIFO, matching heap shrink). Freeing more than owned frees everything.
 // Returns the number freed.
 func (m *Mem) FreeOwnerPages(owner uint32, n int64) int64 {
-	lst := m.ownerPages[owner]
+	s, ok := m.ownerSlot[owner]
+	if !ok {
+		return 0
+	}
+	return m.freeLast(s, n)
+}
+
+// freeLast frees up to n pages from the end of slot s's list.
+func (m *Mem) freeLast(s uint32, n int64) int64 {
 	freed := int64(0)
-	for freed < n && len(lst) > 0 {
-		pfn := lst[len(lst)-1]
-		m.freeOne(pfn) // mutates m.ownerPages[owner]
-		lst = m.ownerPages[owner]
+	for freed < n {
+		lst := m.owners[s].pages
+		if len(lst) == 0 {
+			break
+		}
+		m.freeOne(lst[len(lst)-1]) // shrinks the list
 		freed++
 	}
 	return freed
@@ -377,13 +458,25 @@ func (m *Mem) FreeOwnerPages(owner uint32, n int64) int64 {
 
 // OwnerPageCount reports the pages currently held by owner.
 func (m *Mem) OwnerPageCount(owner uint32) int64 {
-	return int64(len(m.ownerPages[owner]))
+	return int64(len(m.ownerPages(owner)))
 }
 
-// FreeOwner releases every page of an owner (process/VM exit).
+// FreeOwner releases every page of an owner (process/VM exit) and, except
+// for KernelOwner, its slot in the owner table.
 func (m *Mem) FreeOwner(owner uint32) int64 {
-	n := m.FreeOwnerPages(owner, int64(len(m.ownerPages[owner])))
-	delete(m.ownerPages, owner)
+	s, ok := m.ownerSlot[owner]
+	if !ok {
+		return 0
+	}
+	n := m.freeLast(s, int64(len(m.owners[s].pages)))
+	if s != 0 {
+		delete(m.ownerSlot, owner)
+		m.owners[s] = ownerList{pages: m.owners[s].pages[:0]}
+		m.freeSlots = append(m.freeSlots, s)
+		if m.lastOwner == owner {
+			m.lastOwner, m.lastSlot = KernelOwner, 0
+		}
+	}
 	return n
 }
 
@@ -406,17 +499,18 @@ func (m *Mem) MigratePageAvoid(src PFN, avoid func(PFN) bool) (PFN, error) {
 	if m.pages[src].state != PageMovable {
 		return 0, fmt.Errorf("kernel: page %d is %v, not movable", src, m.pages[src].state)
 	}
-	owner := m.pages[src].owner
+	s := m.pages[src].slot
 	// Allocate a destination; retry while the allocator hands us frames
 	// inside the avoided range (they would be isolated next anyway).
 	var rejected []PFN
 	var dst PFN = -1
+	var one [1]PFN
 	for {
-		pfns, err := m.AllocPages(1, true, owner)
+		got, err := m.alloc(one[:0], 1, true, s)
 		if err != nil {
 			break
 		}
-		p := pfns[0]
+		p := got[0]
 		if avoid != nil && avoid(p) {
 			rejected = append(rejected, p)
 			continue
@@ -506,13 +600,13 @@ func (m *Mem) Reassign(pfn PFN, newOwner uint32) {
 		panic(fmt.Sprintf("kernel: reassigning page %d in state %v", pfn, st))
 	}
 	m.clearAllocated(pfn)
-	m.setAllocated(pfn, st == PageMovable, newOwner)
+	m.setAllocated(pfn, st == PageMovable, m.slotOf(newOwner))
 }
 
 // OwnerPage returns the i-th page of owner in allocation order (address
 // generators map virtual page indexes to frames through this).
 func (m *Mem) OwnerPage(owner uint32, i int64) PFN {
-	return m.ownerPages[owner][i]
+	return m.ownerPages(owner)[i]
 }
 
 // MovableZoneBytes reports the size of the Movable zone (0 without one).

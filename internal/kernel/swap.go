@@ -37,7 +37,7 @@ func (m *Mem) SwapOutOwnerPages(owner uint32, n int64) (int64, error) {
 	if m.swapCapPages == 0 {
 		return 0, fmt.Errorf("kernel: no swap configured")
 	}
-	have := int64(len(m.ownerPages[owner]))
+	have := m.OwnerPageCount(owner)
 	if n > have {
 		n = have
 	}

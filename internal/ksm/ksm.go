@@ -91,12 +91,15 @@ type Daemon struct {
 	pages    []*VPage // scan order = registration order, like the rmap list
 	cursor   int
 	stable   map[uint64]*stableNode
-	unstable map[uint64]*VPage  // emptied each time the cursor wraps
-	byFrame  map[kernel.PFN]any // *VPage (exclusive frame) or *stableNode
+	unstable map[uint64]*VPage // emptied each time the cursor wraps
+	// byFrame[pfn] is the *VPage mapping frame pfn exclusively or the
+	// *stableNode sharing it; nil when KSM tracks no page there.
+	byFrame []any
 
 	sharedSaved int64 // frames freed by merging, currently
 	stats       Stats
 	running     bool
+	wake        func() // the scan timer's callback, bound once
 	onPass      []func()
 }
 
@@ -112,7 +115,14 @@ func New(eng *sim.Engine, mem *kernel.Mem, cfg Config) (*Daemon, error) {
 		rng:      sim.NewRNG(cfg.Seed ^ 0x6b736d64),
 		stable:   make(map[uint64]*stableNode),
 		unstable: make(map[uint64]*VPage),
-		byFrame:  make(map[kernel.PFN]any),
+		byFrame:  make([]any, mem.NPages()),
+	}
+	d.wake = func() {
+		if !d.running {
+			return
+		}
+		d.ScanChunk()
+		d.armScan()
 	}
 	mem.OnMigrate(d.frameMigrated)
 	return d, nil
@@ -134,9 +144,11 @@ func (d *Daemon) Register(owner uint32, frames []kernel.PFN, digests []uint64, v
 			return nil, fmt.Errorf("ksm: frame %d not owned by %d", f, owner)
 		}
 	}
+	block := make([]VPage, len(frames)) // one allocation for the call's pages
 	out := make([]*VPage, len(frames))
 	for i, f := range frames {
-		v := &VPage{owner: owner, digest: digests[i], volatility: volatility, frame: f}
+		v := &block[i]
+		*v = VPage{owner: owner, digest: digests[i], volatility: volatility, frame: f}
 		d.pages = append(d.pages, v)
 		d.byFrame[f] = v
 		out[i] = v
@@ -157,7 +169,7 @@ func (d *Daemon) UnregisterOwner(owner uint32) {
 		if v.merged != nil {
 			d.detachSharer(v.merged)
 		} else {
-			delete(d.byFrame, v.frame)
+			d.byFrame[v.frame] = nil
 		}
 		v.dead = true
 	}
@@ -201,7 +213,7 @@ func (d *Daemon) detachSharer(n *stableNode) {
 	if n.refs == 0 {
 		d.sharedSaved++
 		delete(d.stable, n.digest)
-		delete(d.byFrame, n.frame)
+		d.byFrame[n.frame] = nil
 		d.mem.FreePage(n.frame)
 	}
 }
@@ -223,15 +235,7 @@ func (d *Daemon) Stop() { d.running = false }
 // pass completes, regardless of the monitor period).
 func (d *Daemon) OnFullPass(fn func()) { d.onPass = append(d.onPass, fn) }
 
-func (d *Daemon) armScan() {
-	d.eng.AfterDaemon(d.cfg.ScanPeriod, func() {
-		if !d.running {
-			return
-		}
-		d.ScanChunk()
-		d.armScan()
-	})
-}
+func (d *Daemon) armScan() { d.eng.AfterDaemon(d.cfg.ScanPeriod, d.wake) }
 
 // ScanChunk performs one wake-up's worth of scanning: up to PagesPerScan
 // page visits. Exposed for tests and single-stepped experiments.
@@ -299,7 +303,7 @@ func (d *Daemon) visit(v *VPage) {
 
 // mergeIntoStable points v at the shared frame and frees its own frame.
 func (d *Daemon) mergeIntoStable(v *VPage, sn *stableNode) {
-	delete(d.byFrame, v.frame)
+	d.byFrame[v.frame] = nil
 	d.mem.FreePage(v.frame)
 	v.frame = sn.frame
 	v.merged = sn
@@ -320,10 +324,9 @@ func (d *Daemon) promote(a, b *VPage) {
 	delete(d.unstable, a.digest)
 	sn := &stableNode{digest: a.digest, frame: a.frame, refs: 2}
 	d.mem.Reassign(a.frame, Owner)
-	delete(d.byFrame, a.frame)
 	d.byFrame[sn.frame] = sn
 	a.merged = sn
-	delete(d.byFrame, b.frame)
+	d.byFrame[b.frame] = nil
 	d.mem.FreePage(b.frame)
 	b.frame = sn.frame
 	b.merged = sn
@@ -335,11 +338,11 @@ func (d *Daemon) promote(a, b *VPage) {
 // frameMigrated keeps content tracking consistent across page migration
 // (memory off-lining moves frames; KSM metadata must follow).
 func (d *Daemon) frameMigrated(src, dst kernel.PFN) {
-	entry, ok := d.byFrame[src]
-	if !ok {
+	entry := d.byFrame[src]
+	if entry == nil {
 		return
 	}
-	delete(d.byFrame, src)
+	d.byFrame[src] = nil
 	d.byFrame[dst] = entry
 	switch e := entry.(type) {
 	case *VPage:

@@ -12,12 +12,14 @@ import (
 	"greendimm/internal/sim"
 )
 
-// The files under testdata/scan_equiv were written by the build whose
-// stable and unstable indexes were unbalanced binary search trees keyed by
-// digest. Comparing against them proves the digest-keyed maps make every
-// merge decision the trees made, at the same scan visit: Stats, the saved
-// and stable counts, and a hash of every live page's frame, merge state
-// and digest after each chunk.
+// The first three files under testdata/scan_equiv were written by the
+// build whose stable and unstable indexes were unbalanced binary search
+// trees keyed by digest. Comparing against them proves the digest-keyed
+// maps make every merge decision the trees made, at the same scan visit:
+// Stats, the saved and stable counts, and a hash of every live page's
+// frame, merge state and digest after each chunk. The private case was
+// written by the build whose frame index was a map keyed by PFN; it holds
+// the PFN-indexed slice to the same migrations.
 
 // scanEquivCase is one daemon configuration of the golden set.
 type scanEquivCase struct {
@@ -25,13 +27,20 @@ type scanEquivCase struct {
 	chunk int // PagesPerScan
 	steps int // chunks scanned, one guest operation before each
 	seed  int64
+	// private: guests also hold memory they never advise mergeable, and
+	// half the migrations move all of one guest's such frames. Ramps take
+	// it first, so frames that merging freed come back as such memory,
+	// where a frame-index entry that outlived its page would move a merged
+	// page's frame.
+	private bool
 }
 
 func scanEquivCases() []scanEquivCase {
 	return []scanEquivCase{
-		{"chunk7-seed1", 7, 900, 1},
-		{"chunk64-seed2", 64, 300, 2},
-		{"chunk1000-seed3", 1000, 120, 3},
+		{"chunk7-seed1", 7, 900, 1, false},
+		{"chunk64-seed2", 64, 300, 2, false},
+		{"chunk1000-seed3", 1000, 120, 3, false},
+		{"chunk16-seed4-private", 16, 600, 4, true},
 	}
 }
 
@@ -40,12 +49,14 @@ func scanEquivCases() []scanEquivCase {
 // ascending runs of this length, as vmtrace's do with 2,048.
 const equivImagePages = 96
 
-// equivVM is one guest: owner, base image, pages registered so far.
+// equivVM is one guest: owner, base image, pages registered so far, and
+// the frames it holds unregistered.
 type equivVM struct {
-	owner  uint32
-	image  uint64
-	ramped int64
-	pages  []*VPage
+	owner   uint32
+	image   uint64
+	ramped  int64
+	pages   []*VPage
+	private []kernel.PFN
 }
 
 // scanEquivReport drives one case and renders one line per chunk. Before
@@ -55,7 +66,8 @@ type equivVM struct {
 // one of eight pooled digests shared by every guest, or to unique
 // content), a death (UnregisterOwner then FreeOwner), or the migration of
 // a random page's frame. Image pages never change on their own; private
-// pages carry 5% volatility.
+// pages carry 5% volatility. With tc.private, each ramp first allocates up
+// to seven frames that are never registered.
 func scanEquivReport(t *testing.T, tc scanEquivCase) string {
 	t.Helper()
 	mem, err := kernel.New(kernel.Config{TotalBytes: 32 << 20, PageBytes: pageSize})
@@ -84,6 +96,15 @@ func scanEquivReport(t *testing.T, tc scanEquivCase) string {
 		vm.pages = append(vm.pages, vps...)
 	}
 	ramp := func(vm *equivVM, n int64) string {
+		var k int64
+		if tc.private {
+			k = 1 + g.Int63n(7)
+			frames, err := mem.AllocPages(k, true, vm.owner)
+			if err != nil {
+				return "ramp-private-oom"
+			}
+			vm.private = append(vm.private, frames...)
+		}
 		frames, err := mem.AllocPages(n, true, vm.owner)
 		if err != nil {
 			return "ramp-oom"
@@ -102,6 +123,9 @@ func scanEquivReport(t *testing.T, tc scanEquivCase) string {
 		vm.ramped += n
 		register(vm, imgF, imgD, 0)
 		register(vm, uniqF, uniqD, 0.05)
+		if tc.private {
+			return fmt.Sprintf("ramp %d +%d private +%d", vm.owner, n, k)
+		}
 		return fmt.Sprintf("ramp %d +%d", vm.owner, n)
 	}
 	randomPage := func() *VPage {
@@ -161,6 +185,21 @@ func scanEquivReport(t *testing.T, tc scanEquivCase) string {
 			d.UnregisterOwner(vm.owner)
 			op = fmt.Sprintf("death %d freed %d", vm.owner, mem.FreeOwner(vm.owner))
 		case r < 16:
+			if tc.private && g.Bool(0.5) {
+				vm := vms[g.Intn(len(vms))]
+				op = fmt.Sprintf("migrate-private %d", vm.owner)
+				for j, src := range vm.private {
+					dst, err := mem.MigratePage(src, src, src+1)
+					if err != nil {
+						op += " oom"
+						break
+					}
+					vm.private[j] = dst
+					mem.Unisolate(src)
+					op += fmt.Sprintf(" %d->%d", src, dst)
+				}
+				break
+			}
 			v := randomPage()
 			if v == nil {
 				op = "migrate-none"

@@ -81,7 +81,6 @@ type VM struct {
 	expiry   sim.Time
 	target   int64 // pages
 	ramped   int64
-	vpages   []*ksm.VPage
 	admitted sim.Time
 }
 
@@ -106,6 +105,16 @@ type Host struct {
 	cpuTS    *metrics.WeightedValue
 	samples  []Sample
 	running_ bool
+
+	// Timer callbacks, bound once: the scheduler pass and a VM's next
+	// ramp chunk (its argument is the *VM).
+	scheduleFn func()
+	rampFn     func(any)
+
+	// registerKSM's per-chunk scratch: image and unique frames and
+	// digests, reused chunk to chunk.
+	imgF, uniqF []kernel.PFN
+	imgD, uniqD []uint64
 }
 
 // Sample is one scheduler-period observation (the Fig. 1 series).
@@ -139,6 +148,14 @@ func New(eng *sim.Engine, mem *kernel.Mem, ksmd *ksm.Daemon, cfg Config) (*Host,
 		utilTS:     metrics.NewWeightedValue(0, eng.Now()),
 		cpuTS:      metrics.NewWeightedValue(0, eng.Now()),
 	}
+	h.scheduleFn = func() {
+		if !h.running_ {
+			return
+		}
+		h.schedule()
+		h.armSchedule()
+	}
+	h.rampFn = func(vm any) { h.ramp(vm.(*VM)) }
 	h.genTypes()
 	return h, nil
 }
@@ -194,15 +211,7 @@ func (h *Host) Start() {
 // Stop halts scheduling (running VMs keep expiring).
 func (h *Host) Stop() { h.running_ = false }
 
-func (h *Host) armSchedule() {
-	h.eng.AfterDaemon(h.cfg.ScheduleEvery, func() {
-		if !h.running_ {
-			return
-		}
-		h.schedule()
-		h.armSchedule()
-	})
-}
+func (h *Host) armSchedule() { h.eng.AfterDaemon(h.cfg.ScheduleEvery, h.scheduleFn) }
 
 // diurnal modulates arrivals over the day: low at night, peaking in the
 // afternoon — the source of Fig. 1's 7%-92% swing.
@@ -326,7 +335,9 @@ func (h *Host) ramp(vm *VM) {
 		// On failure: leave ramped as-is and retry next second.
 	}
 	if vm.ramped < vm.target {
-		h.eng.AfterDaemon(sim.Second, func() { h.ramp(vm) })
+		// AtFunc queues an ordinary event, not a daemon one; RunUntil,
+		// which bounds every VM-trace run, dispatches both alike.
+		h.eng.AtFunc(h.eng.Now()+sim.Second, h.rampFn, vm)
 	}
 	h.record()
 }
@@ -339,8 +350,8 @@ func (h *Host) registerKSM(vm *VM, pfns []kernel.PFN) {
 	if h.ksmd == nil {
 		return
 	}
-	var imgF, uniqF []kernel.PFN
-	var imgD, uniqD []uint64
+	imgF, uniqF := h.imgF[:0], h.uniqF[:0]
+	imgD, uniqD := h.imgD[:0], h.uniqD[:0]
 	base := vm.ramped - int64(len(pfns))
 	for i, f := range pfns {
 		pageIdx := base + int64(i)
@@ -354,19 +365,16 @@ func (h *Host) registerKSM(vm *VM, pfns []kernel.PFN) {
 			uniqD = append(uniqD, h.contentRNG.Uint64()|1<<63)
 		}
 	}
+	h.imgF, h.uniqF, h.imgD, h.uniqD = imgF, uniqF, imgD, uniqD
 	if len(imgF) > 0 {
-		vps, err := h.ksmd.Register(vm.ID, imgF, imgD, 0)
-		if err != nil {
+		if _, err := h.ksmd.Register(vm.ID, imgF, imgD, 0); err != nil {
 			panic(fmt.Sprintf("vmtrace: ksm register: %v", err))
 		}
-		vm.vpages = append(vm.vpages, vps...)
 	}
 	if len(uniqF) > 0 {
-		vps, err := h.ksmd.Register(vm.ID, uniqF, uniqD, h.cfg.PageVolatility)
-		if err != nil {
+		if _, err := h.ksmd.Register(vm.ID, uniqF, uniqD, h.cfg.PageVolatility); err != nil {
 			panic(fmt.Sprintf("vmtrace: ksm register: %v", err))
 		}
-		vm.vpages = append(vm.vpages, vps...)
 	}
 }
 

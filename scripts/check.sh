@@ -26,13 +26,14 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> alloc regression (engine, controller, workload, buddy, hotplug hot paths)"
-# The request path's, the page allocator's and memory-block off-lining's
+echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm hot paths)"
+# The request path's, the page allocator's, memory-block off-lining's and
+# the periodic daemons' (GreenDIMM's monitor tick, ksmd's scan wake-up)
 # zero-allocation contracts, asserted as tests so a regression fails the
 # gate, not just a benchmark readout. Run WITHOUT the race detector:
 # AllocsPerRun must count only the code's own allocations, and these same
 # tests also run race-instrumented in the repo-wide pass below.
-go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/
+go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/
 
 echo "==> fuzz engine tie-break (10s)"
 # The engine's equal-time ordering and its reserved-key answers (Passed,
