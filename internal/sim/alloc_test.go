@@ -4,8 +4,8 @@ import "testing"
 
 // TestDispatchSteadyStateAllocs locks in the free-list contract: once the
 // engine has warmed up, a self-rescheduling timer (the dominant pattern in
-// every model) dispatches and reschedules without allocating — the Event
-// recycled on pop is reused by the schedule inside the callback.
+// every model) dispatches and reschedules without allocating — the slot
+// freed on pop is reused by the schedule inside the callback.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	var step func()
@@ -23,9 +23,43 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFreeListReusesEvents checks the recycle path directly: a drained
-// engine reuses its dispatched Event objects for new schedules instead of
-// allocating fresh ones.
+// TestDispatchWideSteadyStateAllocs is the same contract on the heap
+// path: a lone chain lives in the front slot and never touches the heap,
+// but 4,096 self-rescheduling timers with scattered periods (the shape of
+// BenchmarkEngineDispatchWide) keep the heap deep, and dispatching them
+// must not allocate either.
+func TestDispatchWideSteadyStateAllocs(t *testing.T) {
+	const timers = 4096
+	e := NewEngine()
+	rng := NewRNG(1)
+	for i := 0; i < timers; i++ {
+		period := Nanosecond + Time(rng.Int63n(int64(Microsecond)))
+		var step func()
+		step = func() { e.AfterDaemon(period, step) }
+		e.AfterDaemon(period, step)
+	}
+	e.RunUntil(10 * Microsecond) // warm up queue and free list
+
+	deadline := e.Now()
+	ran := 0
+	avg := testing.AllocsPerRun(100, func() {
+		deadline += 100 * Nanosecond
+		ran += e.RunUntil(deadline)
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state wide dispatch allocates %.2f allocs/op, want 0", avg)
+	}
+	if ran == 0 {
+		t.Fatal("no timer ran")
+	}
+	if got := e.Pending(); got != timers {
+		t.Fatalf("%d timers queued, want %d", got, timers)
+	}
+}
+
+// TestFreeListReusesEvents checks the free list directly: a drained
+// engine reuses its freed slots for new schedules instead of growing the
+// slab.
 func TestFreeListReusesEvents(t *testing.T) {
 	e := NewEngine()
 	ran := 0
@@ -37,23 +71,28 @@ func TestFreeListReusesEvents(t *testing.T) {
 		t.Fatalf("ran %d of 64 events", ran)
 	}
 	if got := len(e.free); got != 64 {
-		t.Fatalf("free list holds %d events after drain, want 64", got)
+		t.Fatalf("free list holds %d slots after drain, want 64", got)
 	}
+	if got := len(e.slab); got != 64 {
+		t.Fatalf("slab holds %d slots after drain, want 64", got)
+	}
+	fn := func() { ran++ }
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 64; i++ {
-			e.After(Time(i), func() { ran++ })
+			e.After(Time(i), fn)
 		}
 		e.Run()
 	})
-	// The per-iteration closures may allocate; the Events must not. Allow
-	// the closure allocations (64) but not 2x (closure + event).
-	if avg > 64 {
-		t.Fatalf("drain/refill cycle allocates %.1f/op; events are not being reused", avg)
+	if avg != 0 {
+		t.Fatalf("drain/refill cycle allocates %.1f/op; slots are not being reused", avg)
+	}
+	if got := len(e.slab); got != 64 {
+		t.Fatalf("slab grew to %d slots over drain/refill cycles, want 64", got)
 	}
 }
 
 // TestRecycledEventOrdering re-checks FIFO-at-equal-time stability through
-// the free list: recycled events must not leak stale sequence numbers.
+// the free list: recycled slots must not leak stale sequence numbers.
 func TestRecycledEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int

@@ -27,19 +27,19 @@ func TestAtFuncOrdering(t *testing.T) {
 }
 
 // TestAtFuncRecycleClearsArg checks that a dispatched arg-carrying event
-// drops both its handler and its argument when it lands on the free
-// list, so pooled args aren't retained by idle events.
+// drops both its handler and its argument when its slot is freed, so
+// pooled args aren't retained by idle slots.
 func TestAtFuncRecycleClearsArg(t *testing.T) {
 	e := NewEngine()
 	arg := new(int)
 	e.AtFunc(Nanosecond, func(any) {}, arg)
 	e.Run()
 	if len(e.free) != 1 {
-		t.Fatalf("free list holds %d events, want 1", len(e.free))
+		t.Fatalf("free list holds %d slots, want 1", len(e.free))
 	}
-	ev := e.free[0]
+	ev := e.slab[e.free[0]]
 	if ev.afn != nil || ev.arg != nil || ev.fn != nil {
-		t.Fatalf("recycled event retains callback state: fn set=%t afn set=%t arg=%v",
+		t.Fatalf("freed slot retains callback state: fn set=%t afn set=%t arg=%v",
 			ev.fn != nil, ev.afn != nil, ev.arg)
 	}
 }

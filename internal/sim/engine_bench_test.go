@@ -15,8 +15,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineDispatchChain measures the dispatch fast path: a single
-// self-rescheduling event, so the heap stays tiny and the cost is almost
-// pure pop/push/callback.
+// self-rescheduling event, which lives in the front slot and never
+// touches the heap, so the cost is almost pure pop/push/callback.
 func BenchmarkEngineDispatchChain(b *testing.B) {
 	e := NewEngine()
 	var step func()
@@ -45,6 +45,25 @@ func BenchmarkEngineDispatchWide(b *testing.B) {
 	for deadline := Microsecond; ran < b.N; deadline += Microsecond {
 		ran += e.RunUntil(deadline)
 	}
+}
+
+// BenchmarkEngineDispatchNearFar has the tail experiment's shape: one
+// chain of 100 ns steps (a request's next command) beside a few far
+// periodic daemon timers (7.8 µs refresh, 50 µs and 100 ms service
+// ticks), so nearly every schedule sorts before everything queued.
+func BenchmarkEngineDispatchNearFar(b *testing.B) {
+	e := NewEngine()
+	var step func()
+	step = func() { e.After(100*Nanosecond, step) }
+	e.After(100*Nanosecond, step)
+	for _, period := range []Time{7800 * Nanosecond, 50 * Microsecond, 100 * Millisecond} {
+		var tick func()
+		tick = func() { e.AfterDaemon(period, tick) }
+		e.AfterDaemon(period, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunUntil(Time(b.N) * 100 * Nanosecond)
 }
 
 // BenchmarkEngineDispatchStopCheck is BenchmarkEngineDispatchChain with

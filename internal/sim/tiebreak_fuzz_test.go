@@ -13,7 +13,9 @@ import (
 // equal-time collisions), alternating daemon/normal and nesting schedules
 // inside callbacks to churn the free list. Every scheduled event records
 // its shadow schedule index; the dispatch log must come out sorted by
-// (time, schedule index).
+// (time, schedule index). Each RunUntil must run exactly the events due
+// by its deadline, and the final Run every ordinary event and no
+// trailing daemon, wherever in the queue they wait.
 func tieScript(t *testing.T, script []byte) {
 	t.Helper()
 	e := NewEngine()
@@ -23,23 +25,31 @@ func tieScript(t *testing.T, script []byte) {
 	}
 	var log []rec
 	idx := 0
+	normal, ranNormal := 0, 0 // ordinary events scheduled and run
+	lastDaemon := false       // whether the latest dispatch was a daemon
 	var schedule func(depth int, b byte)
 	schedule = func(depth int, b byte) {
 		// Offsets 0..3 from the current time: mostly ties.
 		at := e.Now() + Time(b&3)*Nanosecond
 		i := idx
 		idx++
+		daemon := b&4 != 0
 		fn := func() {
 			log = append(log, rec{at: e.Now(), idx: i})
+			lastDaemon = daemon
+			if !daemon {
+				ranNormal++
+			}
 			if depth < 3 && b&8 != 0 {
 				// Nested schedule from inside a callback: reuses the slot
 				// recycled just before this callback ran.
 				schedule(depth+1, b>>2)
 			}
 		}
-		if b&4 != 0 {
+		if daemon {
 			e.AtDaemon(at, fn)
 		} else {
+			normal++
 			e.At(at, fn)
 		}
 	}
@@ -48,10 +58,23 @@ func tieScript(t *testing.T, script []byte) {
 		if b&16 != 0 {
 			// Interleave partial draining so later schedules reuse freed
 			// events while earlier ties are still queued.
-			e.RunUntil(e.Now() + Time(b&3)*Nanosecond)
+			d := e.Now() + Time(b&3)*Nanosecond
+			e.RunUntil(d)
+			if e.Now() != d || e.Pending() > 0 && e.next().At <= d {
+				t.Fatalf("RunUntil(%v) left the clock at %v with %d events queued",
+					d, e.Now(), e.Pending())
+			}
 		}
 	}
-	e.Run()
+	if e.Run() > 0 && lastDaemon {
+		t.Fatal("Run dispatched a daemon event after the last ordinary one")
+	}
+	if ranNormal != normal {
+		t.Fatalf("Run returned with %d of %d ordinary events run", ranNormal, normal)
+	}
+	if got, want := e.Pending(), idx-len(log); got != want {
+		t.Fatalf("Pending = %d after Run, want %d", got, want)
+	}
 	for k := 1; k < len(log); k++ {
 		a, b := log[k-1], log[k]
 		if a.at > b.at || (a.at == b.at && a.idx > b.idx) {
@@ -170,6 +193,9 @@ func FuzzEngineTieBreak(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{8, 12, 8, 12, 24, 28, 31, 0, 15, 16, 17, 255})
 	f.Add([]byte{255, 254, 253, 31, 30, 29, 16, 20, 24, 28})
+	// Run's last ordinary event queues a daemon into the empty front slot,
+	// which Run must leave queued.
+	f.Add([]byte{104})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			t.Skip("bound the event count")
@@ -192,6 +218,7 @@ func TestTieBreakSeeds(t *testing.T) {
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		{8, 12, 8, 12, 24, 28, 31, 0, 15, 16, 17, 255},
 		{255, 254, 253, 31, 30, 29, 16, 20, 24, 28},
+		{104},
 	}
 	for _, s := range seeds {
 		tieScript(t, s)

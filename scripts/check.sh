@@ -41,6 +41,12 @@ echo "==> fuzz engine tie-break (10s)"
 # checked against a twin engine on fuzzed schedules beyond the seeds.
 go test -run '^$' -fuzz FuzzEngineTieBreak -fuzztime 10s ./internal/sim/
 
+echo "==> layer benchmarks, one iteration each"
+# Nothing else runs the Benchmark* functions, so one that panics or calls
+# b.Fatal after a change to the code it measures would pass every step
+# above. One iteration each checks that they still run, not their speed.
+go test -run '^$' -bench . -benchtime 1x ./internal/...
+
 echo "==> go test -race ./..."
 # Every package's tests run under the race detector here, among them the
 # concurrency surfaces (sweep, cluster, store, memo, obs, the mc request
