@@ -160,7 +160,7 @@ func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobVie
 	}
 	var v server.JobView
 	err = c.retrying(ctx, func(actx context.Context) error {
-		return c.do(actx, http.MethodPost, "/v1/jobs", body, &v)
+		return c.do(actx, http.MethodPost, "/v1/jobs", body, &v, maxJobBody)
 	})
 	return v, err
 }
@@ -169,7 +169,7 @@ func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobVie
 func (c *Client) Get(ctx context.Context, id string) (server.JobView, error) {
 	var v server.JobView
 	err := c.retrying(ctx, func(actx context.Context) error {
-		return c.do(actx, http.MethodGet, "/v1/jobs/"+id, nil, &v)
+		return c.do(actx, http.MethodGet, "/v1/jobs/"+id, nil, &v, maxJobBody)
 	})
 	return v, err
 }
@@ -184,7 +184,7 @@ func (c *Client) Wait(ctx context.Context, id string) (server.JobView, error) {
 	for {
 		var v server.JobView
 		actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout+c.cfg.PollWait)
-		err := c.do(actx, http.MethodGet, "/v1/jobs/"+id+"?wait="+wait, nil, &v)
+		err := c.do(actx, http.MethodGet, "/v1/jobs/"+id+"?wait="+wait, nil, &v, maxJobBody)
 		cancel()
 		switch {
 		case err == nil:
@@ -220,7 +220,7 @@ func (c *Client) Wait(ctx context.Context, id string) (server.JobView, error) {
 func (c *Client) Cancel(ctx context.Context, id string) (server.JobView, error) {
 	var v server.JobView
 	err := c.retrying(ctx, func(actx context.Context) error {
-		return c.do(actx, http.MethodDelete, "/v1/jobs/"+id, nil, &v)
+		return c.do(actx, http.MethodDelete, "/v1/jobs/"+id, nil, &v, maxJobBody)
 	})
 	return v, err
 }
@@ -233,7 +233,7 @@ func (c *Client) MemoKeys(ctx context.Context) ([]string, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	var v server.MemoKeysView
-	if err := c.do(actx, http.MethodGet, "/v1/memo/keys", nil, &v); err != nil {
+	if err := c.do(actx, http.MethodGet, "/v1/memo/keys", nil, &v, maxMemoKeysBody); err != nil {
 		return nil, err
 	}
 	return v.Keys, nil
@@ -252,7 +252,7 @@ func (c *Client) MemoFetch(ctx context.Context, keys []string) ([]sweep.Entry, e
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	var v server.MemoFetchResponse
-	if err := c.do(actx, http.MethodPost, "/v1/memo/entries", body, &v); err != nil {
+	if err := c.do(actx, http.MethodPost, "/v1/memo/entries", body, &v, maxMemoEntriesBody); err != nil {
 		return nil, err
 	}
 	return v.Entries, nil
@@ -263,7 +263,7 @@ func (c *Client) MemoFetch(ctx context.Context, keys []string) ([]sweep.Entry, e
 func (c *Client) Healthz(ctx context.Context) error {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
-	return c.do(actx, http.MethodGet, "/healthz", nil, nil)
+	return c.do(actx, http.MethodGet, "/healthz", nil, nil, maxErrorBody)
 }
 
 // terminal mirrors the server's lifecycle: no transitions leave these.
@@ -324,10 +324,35 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// Response bodies are read through a bound, so a misbehaving peer cannot
+// make a daemon buffer any amount. Each bound is sized from the largest
+// response a daemon sends on the endpoint, as its 2-space indented JSON.
+const (
+	// maxErrorBody bounds an error envelope, and how much of an ignored
+	// body is drained so the connection can be reused.
+	maxErrorBody = 64 << 10
+	// maxJobBody bounds a job view. The largest is a vmserver job at the
+	// 2,400-hour validation maximum, whose 28,800 five-minute samples
+	// make an 11.1 MB view; a full-scale range job's cell artifacts stay
+	// under 0.25 MB.
+	maxJobBody = 32 << 20
+	// maxMemoKeysBody bounds a warm-key digest at the server's bound on
+	// a fetch request for those keys: server.MaxMemoFetchKeys keys of up
+	// to 2 KiB (they average under 0.5 KB). A larger digest reads as a
+	// cold peer.
+	maxMemoKeysBody = 8 << 20
+	// maxMemoEntriesBody bounds a memo-entries response at
+	// server.MaxMemoFetchKeys entries of 8 KiB. Every entry but a
+	// VM-trace day is under 6 KB; a full-scale day is 66 KB, and one
+	// spec's prefetch, at most 30 keys, is at most 144 KB.
+	maxMemoEntriesBody = 32 << 20
+)
+
 // do performs one HTTP round trip and decodes the JSON response into out
-// (skipped when out is nil). Non-2xx responses become *StatusError with
-// the server's error envelope and Retry-After hint attached.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// (skipped when out is nil), reading at most limit bytes of it; a longer
+// body is an error. Non-2xx responses become *StatusError with the
+// server's error envelope and Retry-After hint attached.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, limit int64) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -353,7 +378,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		var envelope struct {
 			Error json.RawMessage `json:"error"`
 		}
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&envelope); derr == nil && len(envelope.Error) > 0 {
+		if derr := json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&envelope); derr == nil && len(envelope.Error) > 0 {
 			var body server.ErrorBody
 			if json.Unmarshal(envelope.Error, &body) == nil && body.Code != "" {
 				se.Code = body.Code
@@ -372,10 +397,14 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		return se
 	}
 	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, limit))
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	lr := &io.LimitedReader{R: resp.Body, N: limit}
+	if err := json.NewDecoder(lr).Decode(out); err != nil {
+		if lr.N == 0 {
+			return fmt.Errorf("cluster: %s %s response exceeds %d bytes", method, path, limit)
+		}
 		return fmt.Errorf("cluster: decoding %s %s response: %w", method, path, err)
 	}
 	return nil

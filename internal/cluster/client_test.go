@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,5 +175,47 @@ func TestClientConnectionErrorIsTransient(t *testing.T) {
 	// Two attempts with one backoff in between: it did retry.
 	if elapsed := time.Since(start); elapsed < cfg.Retry.BaseDelay/2 {
 		t.Errorf("returned after %v, before any backoff could have run", elapsed)
+	}
+}
+
+// TestClientRejectsOversizedBody has a peer answer 200 with valid JSON
+// one MiB longer than the endpoint's bound. The client stops reading at
+// the bound and returns an error instead of buffering the body.
+func TestClientRejectsOversizedBody(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		limit int
+		call  func(c *Client) error
+	}{
+		{"job view", maxJobBody, func(c *Client) error { _, err := c.Get(ctx, "j000001"); return err }},
+		{"memo keys", maxMemoKeysBody, func(c *Client) error { _, err := c.MemoKeys(ctx); return err }},
+		{"memo entries", maxMemoEntriesBody, func(c *Client) error { _, err := c.MemoFetch(ctx, []string{"k"}); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				pad := bytes.Repeat([]byte("a"), 64<<10)
+				if _, err := io.WriteString(w, `{"pad":"`); err != nil {
+					return
+				}
+				for n := 0; n < tc.limit+1<<20; n += len(pad) {
+					if _, err := w.Write(pad); err != nil {
+						return // the client hung up
+					}
+				}
+				io.WriteString(w, `"}`)
+			}))
+			defer hs.Close()
+
+			c := NewClient(hs.URL, ClientConfig{Retry: RetryPolicy{MaxAttempts: 1}})
+			err := tc.call(c)
+			if err == nil {
+				t.Fatalf("a %d-byte body over a %d-byte bound decoded without error", tc.limit+1<<20, tc.limit)
+			}
+			if !strings.Contains(err.Error(), "exceeds") {
+				t.Fatalf("error %q does not report the bound", err)
+			}
+		})
 	}
 }

@@ -5,21 +5,46 @@ import "testing"
 // TestDispatchSteadyStateAllocs locks in the free-list contract: once the
 // engine has warmed up, a self-rescheduling timer (the dominant pattern in
 // every model) dispatches and reschedules without allocating — the slot
-// freed on pop is reused by the schedule inside the callback.
+// freed on pop is reused by the schedule inside the callback. The cases
+// are the shapes of BenchmarkEngineDispatchChain, ...StopCheck and
+// ...NearFar: the chain alone, with the cancellation hook installed at
+// the default stride, and as a 100 ns chain beside three far daemon
+// timers.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
-	e := NewEngine()
-	var step func()
-	step = func() { e.After(Nanosecond, step) }
-	e.After(Nanosecond, step)
-	e.RunUntil(100 * Nanosecond) // warm up queue and free list
+	for _, tc := range []struct {
+		name   string
+		period Time // the chain's step
+		setup  func(e *Engine)
+	}{
+		{"chain", Nanosecond, func(*Engine) {}},
+		{"stop check", Nanosecond, func(e *Engine) {
+			e.SetStopCheck(0, func() bool { return false })
+		}},
+		{"near far", 100 * Nanosecond, func(e *Engine) {
+			for _, period := range []Time{7800 * Nanosecond, 50 * Microsecond, 100 * Millisecond} {
+				var tick func()
+				tick = func() { e.AfterDaemon(period, tick) }
+				e.AfterDaemon(period, tick)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			tc.setup(e)
+			var step func()
+			step = func() { e.After(tc.period, step) }
+			e.After(tc.period, step)
+			e.RunUntil(100 * tc.period) // warm up queue and free list
 
-	deadline := e.Now()
-	avg := testing.AllocsPerRun(1000, func() {
-		deadline += Nanosecond
-		e.RunUntil(deadline)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state dispatch allocates %.2f allocs/op, want 0", avg)
+			deadline := e.Now()
+			avg := testing.AllocsPerRun(1000, func() {
+				deadline += tc.period
+				e.RunUntil(deadline)
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state dispatch allocates %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -59,7 +84,8 @@ func TestDispatchWideSteadyStateAllocs(t *testing.T) {
 
 // TestFreeListReusesEvents checks the free list directly: a drained
 // engine reuses its freed slots for new schedules instead of growing the
-// slab.
+// slab. Its drain/refill cycle is BenchmarkEngineSchedule's pushes into
+// warmed capacity, and must not allocate.
 func TestFreeListReusesEvents(t *testing.T) {
 	e := NewEngine()
 	ran := 0

@@ -181,15 +181,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// restore installs a snapshot. A job snapshot that does not decode
-// fails Open: unlike the memo, the journal is the only record of which
-// jobs were in flight.
+// restore installs a snapshot. A job snapshot that does not decode, or
+// that names one hash twice, fails Open: unlike the memo, the journal is
+// the only record of which jobs were in flight, and a repeated hash
+// would recover one job twice.
 func (s *Store) restore(b []byte) (uint64, error) {
 	var snap snapshotFile
 	if err := json.Unmarshal(b, &snap); err != nil {
 		return 0, err
 	}
 	for _, sr := range snap.Records {
+		if _, dup := s.recs[sr.Hash]; dup {
+			return 0, fmt.Errorf("hash %q recorded twice", sr.Hash)
+		}
 		r := &record{
 			hash:    sr.Hash,
 			spec:    sr.Spec,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -159,6 +160,29 @@ func TestMaxSpecsPrune(t *testing.T) {
 	defer s.Close()
 	if st := s.Stats(); st.Specs != 3 {
 		t.Fatalf("Specs after reopen = %d, want 3", st.Specs)
+	}
+}
+
+// TestOpenRejectsDuplicateHashSnapshot feeds Open a job snapshot that
+// names one hash twice. Accepted, it would hand the record to Pending
+// twice, so a restarted daemon would recover two jobs for one spec, and
+// the first compaction that pruned the record would dereference the
+// map entry its first copy had deleted.
+func TestOpenRejectsDuplicateHashSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"hash":"h1","spec":{},"state":"accepted"}`
+	snap := `{"seq":2,"records":[` + rec + `,` + rec + `]}`
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{SnapshotEvery: 1, MaxSpecs: 1})
+	if err == nil {
+		n := len(s.Pending())
+		s.Close()
+		t.Fatalf("Open accepted a snapshot naming h1 twice (%d pending records)", n)
+	}
+	if !strings.Contains(err.Error(), `"h1"`) {
+		t.Fatalf("Open error %q does not name the hash", err)
 	}
 }
 

@@ -26,26 +26,30 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm hot paths)"
-# The request path's, the page allocator's, memory-block off-lining's and
+echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm, cluster, metrics)"
+# The request path's, the page allocator's, memory-block off-lining's,
 # the periodic daemons' (GreenDIMM's monitor tick, ksmd's scan wake-up)
-# zero-allocation contracts, asserted as tests so a regression fails the
-# gate, not just a benchmark readout. Run WITHOUT the race detector:
-# AllocsPerRun must count only the code's own allocations, and these same
-# tests also run race-instrumented in the repo-wide pass below.
-go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/
+# and a capped metrics.Distribution's zero-allocation contracts, and the
+# cluster dispatcher's allocation ceiling, asserted as tests so a
+# regression fails the gate, not just a benchmark readout. Run WITHOUT the race
+# detector: AllocsPerRun must count only the code's own allocations, and
+# these same tests also run race-instrumented in the repo-wide pass below.
+go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/ ./internal/cluster/ ./internal/metrics/
 
 echo "==> fuzz engine tie-break (10s)"
 # The engine's equal-time ordering and its reserved-key answers (Passed,
 # BornAfter), which the controller's closed-form idle descent relies on,
 # checked against a twin engine on fuzzed schedules beyond the seeds.
-go test -run '^$' -fuzz FuzzEngineTieBreak -fuzztime 10s ./internal/sim/
+# Minimization is bounded: at Go's default (60 s per new input, not
+# counted in -fuzztime) the first new input stalls the whole window.
+go test -run '^$' -fuzz FuzzEngineTieBreak -fuzztime 10s -fuzzminimizetime 10x ./internal/sim/
 
-echo "==> layer benchmarks, one iteration each"
+echo "==> layer and figure benchmarks, one iteration each"
 # Nothing else runs the Benchmark* functions, so one that panics or calls
 # b.Fatal after a change to the code it measures would pass every step
-# above. One iteration each checks that they still run, not their speed.
-go test -run '^$' -bench . -benchtime 1x ./internal/...
+# above. One iteration each checks that they still run, not their speed;
+# the root package's per-figure benchmarks run at quick scale.
+GREENDIMM_QUICK=1 go test -run '^$' -bench . -benchtime 1x . ./internal/...
 
 echo "==> go test -race ./..."
 # Every package's tests run under the race detector here, among them the
@@ -67,14 +71,5 @@ echo "==> perfbench self-test"
 # tail and fig12 reports against perfbench/digests.json, the only byte
 # pin on those reports (go test never compares them to committed bytes).
 bash perfbench/run.sh --selftest
-
-echo "==> bench snapshot comparison"
-# With two or more BENCH_*.json snapshots present, gate the hot-path
-# benchmarks (>20% allocs/op regressions are fatal; ns/op warns).
-if [ "$(ls BENCH_*.json 2>/dev/null | wc -l)" -ge 2 ]; then
-    scripts/bench_compare.sh
-else
-    echo "  (skipped: fewer than two BENCH_*.json snapshots)"
-fi
 
 echo "OK"
