@@ -15,9 +15,14 @@
 // every backend is down. Results are byte-identical to local runs — the
 // dispatcher verifies this whenever a spec executes more than once.
 //
-// With -memo-dir, baseline sweep cells computed by local runs persist
-// to a WAL-backed log in that directory and reload at the next
-// invocation, so repeated quick iterations skip the shared baselines.
+// With -memo-dir, local registry runs journal into that directory the
+// way greendimmd journals jobs into its -store-dir: each experiment is
+// one job record holding the sweep cells the run resolved. The next
+// invocation warms its memo from every journaled cell, so repeated
+// quick iterations skip the shared baselines, and the directory is a
+// valid greendimmd -store-dir that boots warm (and resumes a run that
+// was cut off). A -seed 0 run reads the journal but writes nothing to
+// it, since a job spec has no seed 0.
 package main
 
 import (
@@ -30,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -55,7 +61,7 @@ func main() {
 		backends   = flag.String("backends", "", "comma-separated greendimmd base URLs; jobs run remotely with routing, retries and hedging (in-process fallback if all are down)")
 		hedgeAfter = flag.Duration("hedge-after", 30*time.Second, "with -backends: duplicate an unfinished job onto a second backend after this long (0 disables hedging)")
 		traceOut   = flag.String("trace-out", "", "write a JSON execution trace (per-cell spans; with -backends also attempts/hedges/backoffs) to this file")
-		memoDir    = flag.String("memo-dir", "", "persistent baseline-cell memo directory (local runs only): reload previously computed sweep cells before running and save new ones after, so repeated invocations skip shared baselines")
+		memoDir    = flag.String("memo-dir", "", "job-journal directory for local runs (the format of greendimmd -store-dir): warm the memo from the sweep cells journaled there and journal each run's cells, so repeated invocations skip shared baselines")
 	)
 	flag.Parse()
 	if *parallel < 0 {
@@ -78,7 +84,7 @@ func main() {
 		}
 		spec := pc.JobSpec()
 		spec.Parallelism = *parallel
-		runSpecs([]string{"policy:" + pc.Policy.Fingerprint()}, []server.JobSpec{spec},
+		runSpecs(os.Stdout, []string{"policy:" + pc.Policy.Fingerprint()}, []server.JobSpec{spec},
 			*backends, *hedgeAfter, *csvDir, *traceOut)
 	case *specFile != "":
 		specs, err := loadSpecs(*specFile)
@@ -86,69 +92,103 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		runSpecs(specLabels(specs), specs, *backends, *hedgeAfter, *csvDir, *traceOut)
+		runSpecs(os.Stdout, specLabels(specs), specs, *backends, *hedgeAfter, *csvDir, *traceOut)
 	case *backends != "" || *traceOut != "":
 		// Tracing needs the spec path: runSpecs threads an obs.Trace
 		// through execution, which the registry path has no seam for.
 		labels, specs := experimentSpecs(*which, *quick, *seed, *parallel)
-		runSpecs(labels, specs, *backends, *hedgeAfter, *csvDir, *traceOut)
+		runSpecs(os.Stdout, labels, specs, *backends, *hedgeAfter, *csvDir, *traceOut)
 	default:
 		opts := exp.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
-		saveMemo := openMemoDir(*memoDir, &opts)
-		runLocalRegistry(os.Stdout, *which, opts, *csvDir)
-		saveMemo()
+		journal, closeJournal := openMemoDir(*memoDir, &opts)
+		runLocalRegistry(os.Stdout, *which, opts, *csvDir, journal)
+		closeJournal()
 	}
 }
 
-// openMemoDir loads a persistent memo store into opts.Memo and returns
-// the save function that writes newly computed entries back. With an
-// empty dir it is a no-op pair: runLocalRegistry builds its own
-// in-memory memo as before. Entries persist with the same verified
-// codec the daemon's memo spill uses, so the two stores are
-// interchangeable on disk.
-func openMemoDir(dir string, opts *exp.Options) func() {
+// openMemoDir opens dir as a job journal, warms a fresh memo in
+// opts.Memo from every cell the journal retains, and returns the
+// journal with the function that closes it. With an empty dir it
+// returns a nil journal and a no-op: runLocalRegistry then builds its
+// own in-memory memo. The memo imports cells through the same verified
+// codec the daemon's boot uses (server.WarmMemo).
+func openMemoDir(dir string, opts *exp.Options) (*store.Store, func()) {
 	if dir == "" {
-		return func() {}
+		return nil, func() {}
 	}
-	ml, err := store.OpenMemoLog(dir, store.MemoLogOptions{})
+	journal, err := store.Open(dir, store.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	memo := sweep.NewMemo(0)
 	memo.SetCodec(exp.MemoCodec())
-	var warm []sweep.Entry
-	for _, c := range ml.Entries() {
-		warm = append(warm, sweep.Entry{V: sweep.EntryVersion, Key: c.Key, Value: c.Value})
-	}
-	if n := memo.Import(warm); n > 0 {
+	if n := server.WarmMemo(memo, journal); n > 0 {
 		fmt.Fprintf(os.Stderr, "memo: %d entries loaded from %s\n", n, dir)
 	}
 	opts.Memo = memo
-	return func() {
-		saved := 0
-		for _, e := range memo.Export(nil) {
-			before := ml.Len()
-			if err := ml.Put(e.Key, e.Value); err != nil {
-				fmt.Fprintf(os.Stderr, "memo: saving %s: %v\n", dir, err)
-				break
-			}
-			if ml.Len() > before {
-				saved++
-			}
+	before := len(journal.Cells())
+	return journal, func() {
+		if n := len(journal.Cells()) - before; n > 0 {
+			fmt.Fprintf(os.Stderr, "memo: %d new cells journaled to %s\n", n, dir)
 		}
-		if saved > 0 {
-			fmt.Fprintf(os.Stderr, "memo: %d new entries saved to %s\n", saved, dir)
-		}
-		if err := ml.Close(); err != nil {
+		if err := journal.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "memo: closing %s: %v\n", dir, err)
 		}
 	}
 }
 
+// runJournaled runs one registry experiment. With a journal it records
+// the run the way greendimmd records a job in its store: Accept under
+// the experiment spec's hash, each cell the run resolves through
+// PutCell, then Finish, merged or failed. A run cut off before Finish
+// (Ctrl-C) leaves its record accepted, as a crash leaves a daemon's
+// job: greendimmd started on the directory resumes it from its
+// journaled cells, and the next run of the experiment finishes it. A
+// failed journal write is reported and never fails the run: the
+// journal only saves later work.
+func runJournaled(journal *store.Store, id string, fn exp.Runner, opts exp.Options) ([]*report.Table, []report.Series, error) {
+	// A spec's seed 0 means seed 1 (JobSpec.Normalize), so a -seed 0 run
+	// has no spec of its own to journal under: it runs on the warm memo
+	// and records nothing, lest a daemon resume it as a seed-1 job.
+	if journal == nil || opts.Seed == 0 {
+		return fn(opts)
+	}
+	spec, err := server.JobSpec{
+		Kind:       server.KindExperiment,
+		Experiment: &server.ExperimentSpec{ID: id, Quick: opts.Quick, Seed: opts.Seed},
+	}.Normalize()
+	if err != nil {
+		return nil, nil, err
+	}
+	hash, err := server.SpecHash(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	warn := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "memo: %v\n", err)
+		}
+	}
+	warn(journal.Accept(hash, raw))
+	opts.CellSink = func(a exp.CellArtifact) { warn(journal.PutCell(hash, a.Key, a.Value)) }
+	tables, series, err := fn(opts)
+	if err != nil {
+		warn(journal.Finish(hash, store.StateFailed, err.Error()))
+		return nil, nil, err
+	}
+	warn(journal.Finish(hash, store.StateMerged, ""))
+	return tables, series, nil
+}
+
 // runLocalRegistry is the classic in-process path: each experiment runs
-// on this machine's registry runner, its report printed to w.
-func runLocalRegistry(w io.Writer, which string, opts exp.Options, csvDir string) {
+// on this machine's registry runner, its report printed to w. A non-nil
+// journal (-memo-dir) records each run (runJournaled).
+func runLocalRegistry(w io.Writer, which string, opts exp.Options, csvDir string, journal *store.Store) {
 	experiments := exp.Registry()
 	// One memo across the whole selection: with -experiment all, figures
 	// that share baseline cells (fig12/fig13's traced day, the block
@@ -164,7 +204,7 @@ func runLocalRegistry(w io.Writer, which string, opts exp.Options, csvDir string
 			os.Exit(2)
 		}
 		fmt.Fprintf(w, "=== %s ===\n", id)
-		tables, series, err := fn(opts)
+		tables, series, err := runJournaled(journal, id, fn, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
@@ -184,10 +224,10 @@ func runLocalRegistry(w io.Writer, which string, opts exp.Options, csvDir string
 }
 
 // runSpecs executes job specs — remotely when backends are given, else
-// in-process via server.Execute — and prints each report the way the
-// local path does. With traceOut, each spec records an execution trace
+// in-process via server.Execute — and prints each report to w the way
+// the local path does. With traceOut, each spec records an execution trace
 // and the labeled set is written there as JSON.
-func runSpecs(labels []string, specs []server.JobSpec, backends string, hedgeAfter time.Duration, csvDir, traceOut string) {
+func runSpecs(w io.Writer, labels []string, specs []server.JobSpec, backends string, hedgeAfter time.Duration, csvDir, traceOut string) {
 	var traces []*obs.Trace
 	if traceOut != "" {
 		traces = make([]*obs.Trace, len(specs))
@@ -236,9 +276,9 @@ func runSpecs(labels []string, specs []server.JobSpec, backends string, hedgeAft
 		}
 	}
 	for i, res := range results {
-		fmt.Printf("=== %s ===\n", labels[i])
-		fmt.Print(res.Text)
-		fmt.Println()
+		fmt.Fprintf(w, "=== %s ===\n", labels[i])
+		fmt.Fprint(w, res.Text)
+		fmt.Fprintln(w)
 		for ti, t := range res.Tables {
 			if err := maybeCSV(csvDir, labels[i], ti, t); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -280,7 +320,13 @@ func experimentIDs(which string) []string {
 }
 
 // experimentSpecs turns the CLI's experiment selection into job specs.
+// A parallel of 0 takes the registry path's width, all CPUs, since a
+// spec's own 0 means a serial sweep.
 func experimentSpecs(which string, quick bool, seed int64, parallel int) ([]string, []server.JobSpec) {
+	if parallel == 0 {
+		parallel = runtime.NumCPU()
+	}
+	parallel = min(parallel, server.MaxJobParallelism)
 	experiments := exp.Registry()
 	var labels []string
 	var specs []server.JobSpec
@@ -288,9 +334,6 @@ func experimentSpecs(which string, quick bool, seed int64, parallel int) ([]stri
 		if _, ok := experiments[id]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, known())
 			os.Exit(2)
-		}
-		if parallel > server.MaxJobParallelism {
-			parallel = server.MaxJobParallelism
 		}
 		labels = append(labels, id)
 		specs = append(specs, server.JobSpec{

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,36 +86,27 @@ func TestLoadSpecsAcceptsEngineShards(t *testing.T) {
 }
 
 // TestMemoDirWarmsSecondRun drives the -memo-dir path: the first run on
-// an empty directory computes its baseline cells and saves them; the
+// an empty directory computes its baseline cells and journals them; the
 // second imports them, computes nothing, and prints the same report.
 func TestMemoDirWarmsSecondRun(t *testing.T) {
 	dir := t.TempDir()
-	run := func() (string, *sweep.Memo) {
-		opts := exp.Options{Quick: true, Seed: 1, Parallelism: 2}
-		save := openMemoDir(dir, &opts)
-		var out bytes.Buffer
-		runLocalRegistry(&out, "fig8", opts, "")
-		save()
-		return out.String(), opts.Memo
-	}
-
-	cold, memo := run()
+	cold, memo := runMemoDir(t, dir, "fig8")
 	if memo.Computes() == 0 {
 		t.Fatal("cold run computed no memo entries")
 	}
-	ml, err := store.OpenMemoLog(dir, store.MemoLogOptions{})
+	journal, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := ml.Len()
-	if err := ml.Close(); err != nil {
+	saved := len(journal.Cells())
+	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if saved == 0 {
-		t.Fatal("cold run saved nothing to the memo directory")
+		t.Fatal("cold run journaled no cells to the memo directory")
 	}
 
-	warm, memo := run()
+	warm, memo := runMemoDir(t, dir, "fig8")
 	if n := memo.Computes(); n != 0 {
 		t.Fatalf("warm run computed %d memo entries, want 0", n)
 	}
@@ -121,5 +115,142 @@ func TestMemoDirWarmsSecondRun(t *testing.T) {
 	}
 	if warm != cold {
 		t.Fatalf("warm report differs from the cold one:\n%s\nvs\n%s", warm, cold)
+	}
+}
+
+// runMemoDir runs the registry path on -memo-dir dir and returns the
+// report and the memo the run used.
+func runMemoDir(t *testing.T, dir, which string) (string, *sweep.Memo) {
+	t.Helper()
+	opts := exp.Options{Quick: true, Seed: 1, Parallelism: 2}
+	journal, closeJournal := openMemoDir(dir, &opts)
+	var out bytes.Buffer
+	runLocalRegistry(&out, which, opts, "", journal)
+	closeJournal()
+	return out.String(), opts.Memo
+}
+
+// TestMemoDirIsAStoreDir opens -memo-dir directories as greendimmd's
+// -store-dir. After a finished run the daemon boots with the journaled
+// cells in its memo and recovers no job. A run cut off after its cells
+// are journaled and before Finish, as Ctrl-C does, stays accepted, so
+// the daemon resumes it from its journaled cells rather than drop it.
+func TestMemoDirIsAStoreDir(t *testing.T) {
+	boot := func(t *testing.T, dir string) *server.Server {
+		s, err := server.Open(server.Config{Workers: 1, QueueDepth: 1, StoreDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		return s
+	}
+	t.Run("finished", func(t *testing.T) {
+		dir := t.TempDir()
+		runMemoDir(t, dir, "tab3")
+		s := boot(t, dir)
+		if s.MemoImported() == 0 {
+			t.Error("daemon imported no cells from the -memo-dir journal")
+		}
+		if jobs, total := s.List(server.ListQuery{}); total != 0 {
+			t.Errorf("daemon recovered %d jobs from a finished -memo-dir journal: %+v", total, jobs)
+		}
+	})
+	t.Run("interrupted", func(t *testing.T) {
+		dir := t.TempDir()
+		journal, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := func(o exp.Options) ([]*report.Table, []report.Series, error) {
+			exp.Registry()["tab3"](o)
+			panic("interrupted")
+		}
+		func() {
+			defer func() { recover() }()
+			runJournaled(journal, "tab3", cut, exp.Options{Quick: true, Seed: 1, Memo: sweep.NewMemo(0)})
+		}()
+		if err := journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := boot(t, dir)
+		jobs, total := s.List(server.ListQuery{})
+		if total != 1 || !jobs[0].Recovered {
+			t.Fatalf("daemon recovered %d jobs from an interrupted run, want it alone: %+v", total, jobs)
+		}
+		v, err := s.Wait(context.Background(), jobs[0].ID)
+		if err != nil || v.State != server.StateSucceeded || v.ResumedCells == 0 {
+			t.Fatalf("resumed job = %+v (%v), want it succeeded from journaled cells", v, err)
+		}
+	})
+}
+
+// TestRunJournaledSkipsSeedZero: a spec's seed 0 is seed 1, so a -seed 0
+// run journals no record that a daemon would resume as a seed-1 job.
+func TestRunJournaledSkipsSeedZero(t *testing.T) {
+	journal, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	run := func(o exp.Options) ([]*report.Table, []report.Series, error) {
+		if o.CellSink != nil {
+			t.Error("a seed-0 run was given a cell sink")
+		}
+		return nil, nil, nil
+	}
+	if _, _, err := runJournaled(journal, "tab3", run, exp.Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	if st := journal.Stats(); st.Specs != 0 || st.Appends != 0 {
+		t.Fatalf("seed-0 run journaled %d records in %d appends, want none", st.Specs, st.Appends)
+	}
+}
+
+// TestRunJournaledRecordsFailure: a run that fails leaves its record
+// failed with the run's error, so no later boot recovers it.
+func TestRunJournaledRecordsFailure(t *testing.T) {
+	journal, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	fail := func(exp.Options) ([]*report.Table, []report.Series, error) { return nil, nil, errors.New("boom") }
+	if _, _, err := runJournaled(journal, "tab3", fail, exp.Options{Quick: true, Seed: 1}); err == nil {
+		t.Fatal("runJournaled hid the run's error")
+	}
+	hash, err := server.SpecHash(server.JobSpec{Kind: server.KindExperiment, Experiment: &server.ExperimentSpec{ID: "tab3", Quick: true, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := journal.Get(hash); !ok || rec.State != store.StateFailed || rec.Err != "boom" {
+		t.Fatalf("record = %+v (found %v), want failed with the run's error", rec, ok)
+	}
+	if pending := journal.Pending(); len(pending) != 0 {
+		t.Fatalf("failed run left %d pending records", len(pending))
+	}
+}
+
+// TestExperimentSpecsParallelism: -parallel 0 means all CPUs on the spec
+// path too (a spec's 0 is a serial sweep), capped at the spec bound, and
+// the spec path prints what the registry path prints.
+func TestExperimentSpecsParallelism(t *testing.T) {
+	for _, c := range []struct{ flag, want int }{
+		{0, min(runtime.NumCPU(), server.MaxJobParallelism)},
+		{1, 1},
+		{3, 3},
+		{server.MaxJobParallelism + 1, server.MaxJobParallelism},
+	} {
+		_, specs := experimentSpecs("fig8", true, 1, c.flag)
+		if got := specs[0].Parallelism; got != c.want {
+			t.Errorf("-parallel %d: spec parallelism %d, want %d", c.flag, got, c.want)
+		}
+	}
+
+	var registry, spec bytes.Buffer
+	runLocalRegistry(&registry, "fig8", exp.Options{Quick: true, Seed: 1}, "", nil)
+	labels, specs := experimentSpecs("fig8", true, 1, 0)
+	runSpecs(&spec, labels, specs, "", 0, "", "")
+	if spec.String() != registry.String() {
+		t.Fatalf("spec path printed\n%s\nregistry path printed\n%s", spec.String(), registry.String())
 	}
 }

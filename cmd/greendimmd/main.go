@@ -22,9 +22,12 @@
 // merged locally to the byte-identical single-node report.
 //
 // Baseline sweep cells memoize in a shared LRU (-memo entries; negative
-// disables). With -store-dir the memo also journals to <dir>/memo/, so
-// a restarted daemon boots warm and serves repeat sweeps without
-// recomputation. Daemons expose the memo to peers (GET /v1/memo/keys,
+// disables). With -store-dir the daemon warms the memo at start from
+// every cell its job journal retains, whichever spec journaled it, so a
+// restarted daemon serves repeat and overlapping sweeps without
+// recomputation. A `greendimm -memo-dir` directory is a valid -store-dir,
+// and a <dir>/memo/ subdirectory left by earlier builds is ignored.
+// Daemons expose the memo to peers (GET /v1/memo/keys,
 // POST /v1/memo/entries); a sharding daemon scores backends by
 // warm-key overlap and places each shard where its cells already live.
 package main
@@ -65,7 +68,7 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "durable job store directory: accepted jobs and their completed sweep cells are journaled, jobs interrupted by a crash resume from completed work at the next start; empty keeps the daemon in-memory")
 		shardCells = flag.Int("shard-cells", 0, "fan matrix experiments out across -peers as cell-range shards of about this many sweep cells each (0 disables; requires -peers)")
 		policyFile = flag.String("policy-config", "", "JSON policy config file; its block-selection pipeline becomes the default for vmserver jobs that omit a policy (see GET /v1/policies)")
-		memoSize   = flag.Int("memo", 0, "baseline-cell memo entries shared across jobs (0 = default 512, negative disables); with -store-dir the memo spills to disk and reloads warm at the next start")
+		memoSize   = flag.Int("memo", 0, "baseline-cell memo entries shared across jobs (0 = default 512, negative disables); with -store-dir the memo is warmed at start from the cells the job journal retains")
 	)
 	flag.Parse()
 
@@ -82,8 +85,8 @@ func main() {
 	}
 	// One memo instance shared by the server, the shard runner's merge
 	// executor, and the cluster's warm-peer exchange: build it here so
-	// every layer sees the same entries (and the memo spill log under
-	// -store-dir persists what all of them computed).
+	// every layer sees the same entries (and the boot import from the
+	// -store-dir journal warms all of them).
 	cfg.Memo = cfg.NewMemo()
 	if *policyFile != "" {
 		pc, err := server.LoadPolicyConfig(*policyFile)
@@ -149,7 +152,7 @@ func main() {
 		warm.SetOnFetch(func(n int) { srv.NotePeerMemoFetch(int64(n)) })
 	}
 	if n := srv.MemoImported(); n > 0 {
-		log.Printf("memo store: booted warm with %d persisted entries", n)
+		log.Printf("memo: booted warm with %d journaled cells", n)
 	}
 	if *storeDir != "" {
 		log.Printf("durable job store at %s", *storeDir)

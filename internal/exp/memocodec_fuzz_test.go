@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzMemoCodecDecode probes the codec that every memo value read from
-// disk (the memo log) or the network (a peer's memo fetch) passes
+// disk (the job journal) or the network (a peer's memo fetch) passes
 // through: Decode never panics, and a value it accepts re-encodes to
 // exactly the compacted input, so an accepted entry is the canonical
 // bytes a local compute would have produced.

@@ -1,6 +1,9 @@
 package report
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // tableJSON is the wire form of a Table: the grid as labeled rows of
 // preformatted cells, so daemon clients see exactly the numbers the CLI
@@ -32,11 +35,20 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON restores a table marshaled by MarshalJSON.
+// UnmarshalJSON restores a table marshaled by MarshalJSON. It rejects a
+// row whose value count differs from the column count: every table the
+// experiments build has one value per column, and Value indexes a row
+// by column, so a ragged row from a peer would panic a reader.
 func (t *Table) UnmarshalJSON(b []byte) error {
 	var in tableJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
+	}
+	for i, r := range in.Rows {
+		if len(r.Values) != len(in.Columns) {
+			return fmt.Errorf("report: table %q row %d (%q) has %d values for %d columns",
+				in.Title, i, r.Label, len(r.Values), len(in.Columns))
+		}
 	}
 	t.Title = in.Title
 	t.Columns = in.Columns

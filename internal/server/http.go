@@ -93,9 +93,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
 }
 
+// maxJobSpecBody bounds a POST /v1/jobs body, so an oversized request is
+// cut off while it is read instead of after it is decoded. The widest
+// spec the schema can carry, every field at its widest rendering and
+// the policy with the most params, indented, takes under 2 KB; the rest
+// is headroom for whitespace and later fields. TestSubmitBodyBound pins
+// the margin.
+const maxJobSpecBody = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBody))
 	dec.DisallowUnknownFields() // catch misspelled knobs instead of silently defaulting
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("decoding job spec: %v", err), 0)

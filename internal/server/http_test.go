@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"greendimm/internal/core"
 	"greendimm/internal/exp"
 	"greendimm/internal/report"
 )
@@ -417,5 +419,89 @@ func shutdown(t *testing.T, s *Server) {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Errorf("shutdown: %v", err)
+	}
+}
+
+// widestSpec is an upper bound on any spec's encoding: every field of a
+// spec, both payloads included, at its widest JSON rendering, and the
+// registered policy and tracker pair with the most params.
+func widestSpec(t *testing.T) JobSpec {
+	t.Helper()
+	var sc exp.VMScenario
+	v := reflect.ValueOf(&sc).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(math.MinInt64)
+		case reflect.Float64:
+			f.SetFloat(-math.MaxFloat64)
+		case reflect.Bool:
+			f.SetBool(true) // false drops the omitempty ones
+		}
+	}
+	for _, p := range core.PolicyInfos() {
+		for _, tr := range core.TrackerInfos() {
+			params := map[string]float64{}
+			for _, ps := range append(append([]core.ParamSpec{}, p.Params...), tr.Params...) {
+				params[ps.Name] = -math.MaxFloat64
+			}
+			cand := core.PolicySpec{Name: p.Name, Tracker: tr.Name, Params: params}
+			a, _ := json.Marshal(cand)
+			b, _ := json.Marshal(sc.Policy)
+			if len(a) > len(b) {
+				sc.Policy = cand
+			}
+		}
+	}
+	id := ""
+	for _, e := range exp.KnownExperiments() {
+		if len(e) > len(id) {
+			id = e
+		}
+	}
+	return JobSpec{
+		Kind:         KindExperiment,
+		Experiment:   &ExperimentSpec{ID: id, Quick: true, Seed: math.MinInt64},
+		VMServer:     &sc,
+		Cells:        &CellRangeSpec{Lo: math.MinInt, Hi: math.MinInt},
+		TimeoutSec:   -math.MaxFloat64,
+		Parallelism:  math.MinInt,
+		EngineShards: math.MinInt,
+	}
+}
+
+// TestSubmitBodyBound pins the POST /v1/jobs body bound: the widest
+// spec, indented, fits in a quarter of it; a valid spec padded to
+// exactly the bound is served; one byte more is rejected as
+// invalid_spec while it is read.
+func TestSubmitBodyBound(t *testing.T) {
+	widest, err := json.MarshalIndent(widestSpec(t), "", "    ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 4*len(widest) > maxJobSpecBody {
+		t.Fatalf("the widest spec takes %d bytes, over a quarter of the %d-byte bound", len(widest), maxJobSpecBody)
+	}
+
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1},
+		func(JobSpec, RunHooks) (*Result, error) { return &Result{}, nil })
+	h := s.Handler()
+	spec := []byte(`{"kind":"experiment","experiment":{"id":"hwcost"}}`)
+	padded := func(n int) []byte { return append(bytes.Repeat([]byte(" "), n-len(spec)), spec...) }
+
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(padded(maxJobSpecBody))))
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("spec padded to the bound = %d: %.200s", rr.Code, rr.Body.String())
+	}
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(padded(maxJobSpecBody+1))))
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || rr.Code != http.StatusBadRequest || env.Error.Code != CodeInvalidSpec {
+		t.Fatalf("over-bound body = %d %q (%v), want 400 %s", rr.Code, env.Error.Code, err, CodeInvalidSpec)
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"greendimm/internal/sweep"
 )
 
-func fig8QuickPar(parallelism int) JobSpec {
+func quickSpec(id string, parallelism int) JobSpec {
 	return JobSpec{
 		Kind:        KindExperiment,
-		Experiment:  &ExperimentSpec{ID: "fig8", Quick: true, Seed: 1},
+		Experiment:  &ExperimentSpec{ID: id, Quick: true, Seed: 1},
 		Parallelism: parallelism,
 	}
 }
@@ -55,7 +55,7 @@ func TestMemoExchangeEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdownServer(t, s)
-	runToSuccess(t, s, fig8QuickPar(0))
+	runToSuccess(t, s, quickSpec("fig8", 0))
 	if s.Memo() == nil || len(s.Memo().Keys()) == 0 {
 		t.Fatal("run left no warm exportable entries")
 	}
@@ -135,68 +135,123 @@ func TestMemoEndpointsWithoutMemo(t *testing.T) {
 	}
 }
 
-// TestWarmRestartServesWithoutRecompute is the recovery e2e the durable
-// memo exists for: a daemon computes a sweep, restarts on the same
-// -store-dir with the JOB journal deleted (so nothing can replay from
-// the per-spec store), and serves the repeat sweep from the imported
-// memo alone — zero baseline recomputations, byte-identical report, at
-// parallelism 1 and 8.
+func metricsText(s *Server) string {
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	return rr.Body.String()
+}
+
+// copyJournal copies a store directory's files into a fresh one.
+func copyJournal(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestWarmRestartServesWithoutRecompute is the recovery e2e the warm
+// boot exists for: a daemon runs fig12, restarts on the same
+// -store-dir, and serves fig13 — a different spec, whose cells are
+// fig12's traced days — with no cell recomputed and the report a cold
+// run prints, at parallelism 1 and 8. fig13 has no journal record of
+// its own, so the warmth can only come from the cells fig12 journaled.
+// Each parallelism boots its own copy of the journal: a second fig13 on
+// one daemon would be a result-cache hit.
 func TestWarmRestartServesWithoutRecompute(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 2, QueueDepth: 8, StoreDir: dir}
-
 	s1, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := runToSuccess(t, s1, fig8QuickPar(1))
+	runToSuccess(t, s1, quickSpec("fig12", 1))
 	if got := s1.Memo().Computes(); got == 0 {
 		t.Fatal("cold run recorded no memo computes")
 	}
 	shutdownServer(t, s1)
+	dirs := map[int]string{1: dir, 8: copyJournal(t, dir)}
 
-	// Remove the job journal but keep the memo log: the warm boot must
-	// come from <dir>/memo/, not from per-spec cell replay.
-	for _, f := range []string{"wal.log", "snapshot.json"} {
-		if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
-			t.Fatal(err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "memo", "wal.log")); err != nil {
-		t.Fatalf("memo log missing after shutdown: %v", err)
-	}
-
-	s2, err := Open(cfg)
+	cold, err := Execute(quickSpec("fig13", 1), RunHooks{})
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer shutdownServer(t, s2)
-	if s2.MemoImported() == 0 {
-		t.Fatal("reopened daemon imported no memo entries")
+		t.Fatal(err)
 	}
 	for _, par := range []int{1, 8} {
-		warm := runToSuccess(t, s2, fig8QuickPar(par))
-		if warm.Result == nil || warm.Result.Text != cold.Result.Text {
-			t.Fatalf("parallelism %d: warm report diverged from the cold run", par)
+		cfg.StoreDir = dirs[par]
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
 		}
+		if s.MemoImported() == 0 {
+			t.Fatal("reopened daemon imported no memo entries")
+		}
+		warm := runToSuccess(t, s, quickSpec("fig13", par))
+		if warm.Result == nil || warm.Result.Text != cold.Text {
+			t.Fatalf("parallelism %d: warm fig13 report diverged from a cold run", par)
+		}
+		if got := s.Memo().Computes(); got != 0 {
+			t.Fatalf("parallelism %d: warm daemon recomputed %d cells, want 0", par, got)
+		}
+		// The warm state surfaces on /metrics.
+		wantMetrics(t, metricsText(s),
+			"greendimm_memo_entries",
+			"greendimm_memo_imports_total",
+			"greendimm_memo_peer_fetch_total")
+		shutdownServer(t, s)
 	}
-	if got := s2.Memo().Computes(); got != 0 {
-		t.Fatalf("warm daemon recomputed %d baseline cells, want 0", got)
+}
+
+// TestStoreDirHoldsOneJournal runs a fresh tab3 quick job on a durable
+// server. The store directory holds the job journal and nothing else,
+// and the job appends four records to it: accept, its two cells and
+// finish, so each cell is written to disk once. A memo/ directory, as
+// earlier builds kept beside the journal, is ignored at the next boot.
+func TestStoreDirHoldsOneJournal(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 4, StoreDir: dir}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToSuccess(t, s, quickSpec("tab3", 0))
+	wantMetrics(t, metricsText(s), "greendimm_store_wal_records_total 4\n", "greendimm_store_cells 2\n")
+	shutdownServer(t, s)
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if f.Name() != "wal.log" {
+			t.Errorf("store directory holds %s beside the journal's wal.log", f.Name())
+		}
 	}
 
-	// The warm state surfaces on /metrics.
-	rr := httptest.NewRecorder()
-	s2.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	body := rr.Body.String()
-	for _, want := range []string{
-		"greendimm_memo_entries",
-		"greendimm_memo_imports_total",
-		"greendimm_memo_store_entries",
-		"greendimm_memo_peer_fetch_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	memoDir := filepath.Join(dir, "memo")
+	if err := os.MkdirAll(memoDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	torn := `{"seq":12,"v":1,"entries":[{"key":"timing|x","val`
+	if err := os.WriteFile(filepath.Join(memoDir, "snapshot.json"), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("Open beside a leftover memo/ directory: %v", err)
+	}
+	defer shutdownServer(t, s)
+	if n := s.MemoImported(); n != 2 {
+		t.Fatalf("MemoImported = %d, want the journal's 2 cells", n)
 	}
 }
 
@@ -204,11 +259,11 @@ func TestWarmRestartServesWithoutRecompute(t *testing.T) {
 // shardable experiment specs predict their key set (range-scoped),
 // everything else predicts nothing.
 func TestPredictMemoKeysSpecs(t *testing.T) {
-	full, err := PredictMemoKeys(fig8QuickPar(0))
+	full, err := PredictMemoKeys(quickSpec("fig8", 0))
 	if err != nil || len(full) == 0 {
 		t.Fatalf("PredictMemoKeys(fig8) = %d keys, %v", len(full), err)
 	}
-	spec := fig8QuickPar(0)
+	spec := quickSpec("fig8", 0)
 	spec.Cells = &CellRangeSpec{Lo: 0, Hi: 2}
 	sub, err := PredictMemoKeys(spec)
 	if err != nil || len(sub) == 0 || len(sub) >= len(full) {
@@ -225,41 +280,6 @@ func TestPredictMemoKeysSpecs(t *testing.T) {
 	none, err = PredictMemoKeys(spec)
 	if err == nil || none != nil {
 		t.Fatalf("invalid-range prediction = %v, %v; want nil keys and an error", none, err)
-	}
-}
-
-// TestCorruptMemoSnapshotStartsCold: the memo log is a cache whose
-// contents never change a result, so a torn memo snapshot must not keep
-// the daemon down. It boots cold and serves the same report as a clean
-// daemon.
-func TestCorruptMemoSnapshotStartsCold(t *testing.T) {
-	clean, err := Open(Config{Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runToSuccess(t, clean, fig8QuickPar(1))
-	shutdownServer(t, clean)
-
-	dir := t.TempDir()
-	memoDir := filepath.Join(dir, "memo")
-	if err := os.MkdirAll(memoDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	torn := `{"seq":12,"v":1,"entries":[{"key":"timing|x","val`
-	if err := os.WriteFile(filepath.Join(memoDir, "snapshot.json"), []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(Config{Workers: 1, QueueDepth: 4, StoreDir: dir})
-	if err != nil {
-		t.Fatalf("Open with a corrupt memo snapshot: %v", err)
-	}
-	defer shutdownServer(t, s)
-	if n := s.MemoImported(); n != 0 {
-		t.Fatalf("MemoImported = %d from a corrupt snapshot, want 0", n)
-	}
-	got := runToSuccess(t, s, fig8QuickPar(1))
-	if got.Result == nil || got.Result.Text != want.Result.Text {
-		t.Fatal("report after a cold memo start diverged from a clean daemon's")
 	}
 }
 

@@ -60,18 +60,10 @@ func (s *Server) renderMetrics() string {
 			metrics.V(float64(st.memoComputes)))
 		e.Add("greendimm_memo_evictions_total", "counter", "Settled memo entries dropped by the LRU bound.",
 			metrics.V(float64(st.memoEvictions)))
-		e.Add("greendimm_memo_imports_total", "counter", "Memo entries installed from the durable log or peers.",
+		e.Add("greendimm_memo_imports_total", "counter", "Memo entries installed from the job journal or peers.",
 			metrics.V(float64(st.memoImports)))
 		e.Add("greendimm_memo_peer_fetch_total", "counter", "Memo entries pulled from warm cluster peers.",
 			metrics.V(float64(st.memoPeerFetch)))
-	}
-	if st.memoLog != nil {
-		e.Add("greendimm_memo_store_entries", "gauge", "Memo entries retained in the durable memo log.",
-			metrics.V(float64(st.memoLog.Entries)))
-		e.Add("greendimm_memo_store_wal_records_total", "counter", "Memo-log WAL records appended by this process.",
-			metrics.V(float64(st.memoLog.Appends)))
-		e.Add("greendimm_memo_store_snapshots_total", "counter", "Memo-log WAL compactions into a snapshot.",
-			metrics.V(float64(st.memoLog.Snapshots)))
 	}
 	if st.store != nil {
 		e.Add("greendimm_store_specs", "gauge", "Job records retained in the durable store.",

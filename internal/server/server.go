@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -135,9 +134,10 @@ type Config struct {
 	// StoreDir, when non-empty, enables the durable job store
 	// (internal/store) in that directory: accepted jobs, their completed
 	// sweep-cell artifacts and shard ranges are journaled, jobs left
-	// non-terminal by a crash are re-enqueued at the next Open, and a
-	// resubmitted identical spec resumes from its journaled cells.
-	// Empty keeps the server fully in-memory (the previous behavior).
+	// non-terminal by a crash are re-enqueued at the next Open, a
+	// resubmitted identical spec resumes from its journaled cells, and
+	// Open warms the memo with every journaled cell (WarmMemo). Empty
+	// keeps the server fully in-memory.
 	StoreDir string
 }
 
@@ -351,13 +351,10 @@ type Server struct {
 	store     *store.Store
 	storeErrs atomic.Int64
 
-	// memoLog is the durable memo journal under <StoreDir>/memo/ (nil
-	// without a store or with memoization disabled): every memo entry a
-	// run resolves is spilled to it, and Open imports its contents so a
-	// restarted daemon boots warm. memoImported counts the entries that
-	// survived codec verification at boot; memoPeerFetch counts entries
-	// pulled from warm cluster peers (reported via NotePeerMemoFetch).
-	memoLog       *store.MemoLog
+	// memoImported counts the journaled cells that Open installed in the
+	// memo after codec verification, so a restarted daemon boots warm;
+	// memoPeerFetch counts entries pulled from warm cluster peers
+	// (reported via NotePeerMemoFetch).
 	memoImported  int64
 	memoPeerFetch atomic.Int64
 
@@ -376,9 +373,10 @@ func New(cfg Config) *Server {
 }
 
 // Open starts a server with cfg's worker pool. When cfg.StoreDir is
-// set, it opens (recovering if needed) the durable job store and
-// re-enqueues every job a previous process left non-terminal, marked
-// Recovered, before the first worker starts. Call Shutdown to stop.
+// set, it opens (recovering if needed) the durable job store, warms the
+// memo with every cell the store retains, and re-enqueues every job a
+// previous process left non-terminal, marked Recovered, before the
+// first worker starts. Call Shutdown to stop.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DefaultPolicy != nil {
@@ -390,7 +388,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	var st *store.Store
 	var pending []store.Record
-	var memoLog *store.MemoLog
 	var memoImported int64
 	if cfg.StoreDir != "" {
 		var err error
@@ -399,23 +396,9 @@ func Open(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: opening job store: %w", err)
 		}
 		pending = st.Pending()
-		if cfg.Memo != nil {
-			// The durable memo lives beside the job journal. Importing
-			// before the first worker starts means even the recovered jobs
-			// re-enqueued below run against a warm memo; every entry is
-			// codec-verified by Import, so a stale or corrupt log degrades
-			// to recomputation.
-			memoLog, err = store.OpenMemoLog(filepath.Join(cfg.StoreDir, "memo"), store.MemoLogOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("server: opening memo store: %w", err)
-			}
-			logged := memoLog.Entries()
-			entries := make([]sweep.Entry, len(logged))
-			for i, c := range logged {
-				entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: c.Key, Value: c.Value}
-			}
-			memoImported = int64(cfg.Memo.Import(entries))
-		}
+		// Importing before the first worker starts means even the
+		// recovered jobs re-enqueued below run against a warm memo.
+		memoImported = int64(WarmMemo(cfg.Memo, st))
 	}
 	// The queue must absorb every recovered job without blocking boot.
 	qcap := cfg.QueueDepth
@@ -435,7 +418,6 @@ func Open(cfg Config) (*Server, error) {
 		histQueue:    metrics.NewLogHistogram(0.001, 3600, 3),
 		histCell:     metrics.NewLogHistogram(0.001, 3600, 3),
 		store:        st,
-		memoLog:      memoLog,
 		memoImported: memoImported,
 	}
 	for _, rec := range pending {
@@ -718,15 +700,6 @@ func (s *Server) execute(ctx context.Context, j *job, runner func(JobSpec, RunHo
 		h.CellObserved = func(a exp.CellArtifact) {
 			if err := s.store.PutCell(hash, a.Key, a.Value); err != nil {
 				s.storeErrs.Add(1)
-			}
-			if s.memoLog != nil {
-				// Spill the entry to the durable memo too: unlike the
-				// per-spec job journal, the memo log is keyed only by
-				// fingerprint, so a restarted daemon is warm for ANY spec
-				// that shares the cell, not just this one.
-				if err := s.memoLog.Put(a.Key, a.Value); err != nil {
-					s.storeErrs.Add(1)
-				}
 			}
 		}
 		h.Ranges = &RangeLog{
@@ -1047,14 +1020,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// closeStore releases the job store and memo log after the workers have
-// exited.
+// closeStore releases the job store after the workers have exited.
 func (s *Server) closeStore() {
-	if s.memoLog != nil {
-		if err := s.memoLog.Close(); err != nil {
-			s.storeErrs.Add(1)
-		}
-	}
 	if s.store == nil {
 		return
 	}
@@ -1068,9 +1035,28 @@ func (s *Server) closeStore() {
 // serve and the cluster's warm machinery scores against.
 func (s *Server) Memo() *sweep.Memo { return s.cfg.Memo }
 
-// MemoImported reports how many durable memo entries the boot import
-// installed — the warm-restart tests' zero-recompute witness.
+// MemoImported reports how many journaled cells the boot import
+// installed in the memo — the warm-restart tests' zero-recompute
+// witness.
 func (s *Server) MemoImported() int64 { return s.memoImported }
+
+// WarmMemo imports every cell the job journal st retains into m and
+// reports how many it installed. Import codec-verifies each cell, so a
+// stale or corrupt one degrades to recomputation. The journal keys
+// cells by fingerprint alone, so the memo is warm for any spec that
+// shares a cell, not only the spec that journaled it. A nil m installs
+// nothing.
+func WarmMemo(m *sweep.Memo, st *store.Store) int {
+	if m == nil {
+		return 0
+	}
+	cells := st.Cells()
+	entries := make([]sweep.Entry, len(cells))
+	for i, c := range cells {
+		entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: c.Key, Value: c.Value}
+	}
+	return m.Import(entries)
+}
 
 // NotePeerMemoFetch records n memo entries pulled from warm cluster
 // peers, for /metrics. The cluster layer calls it (via the wiring in
@@ -1102,7 +1088,6 @@ type stats struct {
 	memoImports   int64
 	memoPeerFetch int64
 	hasMemo       bool
-	memoLog       *store.MemoLogStats
 }
 
 func (s *Server) snapshot() stats {
@@ -1143,9 +1128,5 @@ func (s *Server) snapshot() stats {
 		st.memoImports = m.Imports()
 	}
 	st.memoPeerFetch = s.memoPeerFetch.Load()
-	if s.memoLog != nil {
-		ls := s.memoLog.Stats()
-		st.memoLog = &ls
-	}
 	return st
 }

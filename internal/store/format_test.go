@@ -9,20 +9,21 @@ import (
 	"testing"
 )
 
-// The fixture under testdata/format was written by an earlier build of
-// this package running writeJobFixture and writeMemoFixture: a job
-// journal and a memo log, each compacted once (with pruning) and left
-// with a WAL tail. TestOnDiskFormat holds every later build to those
-// bytes.
+// The fixture under testdata/format/job was written by an earlier build
+// of this package running writeJobFixture: a job journal compacted once
+// (with pruning) and left with a WAL tail. TestOnDiskFormat holds every
+// later build to those bytes. The record the compaction prunes, h-a,
+// held two cells in that build's history; it holds none now, since
+// compaction drops terminal records without cells before those with
+// cells, and none of h-a's entries reach the fixture either way.
 
 func jobFixtureOptions() Options { return Options{SnapshotEvery: 14, MaxSpecs: 3} }
 
-func memoFixtureOptions() MemoLogOptions { return MemoLogOptions{SnapshotEvery: 4, MaxEntries: 3} }
-
 // writeJobFixture journals a fixed history into dir: four specs, the
-// oldest terminal one pruned by the compaction at the 14th append, then
-// a WAL tail that completes a range, re-accepts a failed spec, adds a
-// cell to it and finishes another.
+// oldest terminal one (canceled, then resubmitted and merged, with no
+// cells) pruned by the compaction at the 14th append, then a WAL tail
+// that completes a range, re-accepts a failed spec, adds a cell to it
+// and finishes another.
 func writeJobFixture(dir string) error {
 	s, err := Open(dir, jobFixtureOptions())
 	if err != nil {
@@ -33,9 +34,9 @@ func writeJobFixture(dir string) error {
 			return s.Accept("h-a", json.RawMessage(`{ "kind": "experiment", "experiment": {"id": "fig8", "quick": true} }`))
 		},
 		func() error { return s.Plan("h-a", 4, [][2]int{{0, 2}, {2, 4}}) },
-		func() error { return s.PutCell("h-a", "timing|a0", json.RawMessage(`{"v": 0}`)) },
-		func() error { return s.PutCell("h-a", "timing|a1", json.RawMessage(`{"v":1.5}`)) },
-		func() error { return s.RangeDone("h-a", 0, 2) },
+		func() error { return s.Finish("h-a", StateCanceled, "client canceled") },
+		func() error { return s.Accept("h-a", nil) },
+		func() error { return s.Plan("h-a", 4, [][2]int{{0, 4}}) },
 		func() error { return s.Finish("h-a", StateMerged, "") },
 		func() error { return s.Accept("h-b", json.RawMessage(`{"kind":"vmserver"}`)) },
 		func() error { return s.Finish("h-b", StateFailed, "boom") },
@@ -60,43 +61,15 @@ func writeJobFixture(dir string) error {
 	return s.Close()
 }
 
-// writeMemoFixture journals six entries plus two duplicates into dir,
-// compacting after the 4th append with the oldest entry pruned.
-func writeMemoFixture(dir string) error {
-	l, err := OpenMemoLog(dir, memoFixtureOptions())
-	if err != nil {
-		return err
-	}
-	puts := []struct{ key, value string }{
-		{"timing|k0", `{"a": [1, 2]}`},
-		{"timing|k1", `1`},
-		{"timing|k1", `2`}, // duplicate: no append
-		{"vmday|k2", `{"b":true}`},
-		{"tailsvc|k3", `"s"`}, // 4th append: compacts, pruning k0
-		{"timing|k4", `null`},
-		{"vmday|k2", `3`}, // duplicate
-		{"dynamics|k5", `{"c": {"d": 1}}`},
-	}
-	for _, p := range puts {
-		if err := l.Put(p.key, json.RawMessage(p.value)); err != nil {
-			l.Close()
-			return err
-		}
-	}
-	return l.Close()
-}
-
 // TestOnDiskFormat reopens the committed fixture and checks the
 // recovered state, then replays the fixture's operations into a fresh
 // directory and requires byte-identical wal.log and snapshot.json.
 func TestOnDiskFormat(t *testing.T) {
 	fixture := filepath.Join("testdata", "format")
-	for _, sub := range []string{"job", "memo"} {
-		for _, f := range []string{"wal.log", "snapshot.json"} {
-			b, err := os.ReadFile(filepath.Join(fixture, sub, f))
-			if err != nil || len(b) == 0 {
-				t.Fatalf("fixture %s/%s: %d bytes, %v; want a snapshot plus a WAL tail", sub, f, len(b), err)
-			}
+	for _, f := range []string{"wal.log", "snapshot.json"} {
+		b, err := os.ReadFile(filepath.Join(fixture, "job", f))
+		if err != nil || len(b) == 0 {
+			t.Fatalf("fixture job/%s: %d bytes, %v; want a snapshot plus a WAL tail", f, len(b), err)
 		}
 	}
 
@@ -129,38 +102,18 @@ func TestOnDiskFormat(t *testing.T) {
 		if pend := s.Pending(); len(pend) != 1 || pend[0].Hash != "h-b" {
 			t.Errorf("Pending = %+v, want h-b alone", pend)
 		}
+		wantCells := []Cell{ // h-b, re-accepted in the WAL tail, is the newest record
+			{Key: "dynamics|c0", Value: json.RawMessage(`[1,2,3]`)},
+			{Key: "timing|b0", Value: json.RawMessage(`"x"`)},
+		}
+		if got := s.Cells(); !reflect.DeepEqual(got, wantCells) {
+			t.Errorf("Cells = %s\nwant %s", got, wantCells)
+		}
 		fresh := t.TempDir()
 		if err := writeJobFixture(fresh); err != nil {
 			t.Fatal(err)
 		}
 		sameFiles(t, filepath.Join(fixture, "job"), fresh)
-	})
-
-	t.Run("memo", func(t *testing.T) {
-		dir := copyDir(t, filepath.Join(fixture, "memo"))
-		l, err := OpenMemoLog(dir, MemoLogOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		want := []Cell{
-			{Key: "timing|k1", Value: json.RawMessage(`1`)},
-			{Key: "vmday|k2", Value: json.RawMessage(`{"b":true}`)},
-			{Key: "tailsvc|k3", Value: json.RawMessage(`"s"`)},
-			{Key: "timing|k4", Value: json.RawMessage(`null`)},
-			{Key: "dynamics|k5", Value: json.RawMessage(`{"c":{"d":1}}`)},
-		}
-		if got := l.Entries(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Entries = %s\nwant %s", got, want)
-		}
-		if st := l.Stats(); st.Replayed != 2 || st.TruncatedTail {
-			t.Fatalf("stats = %+v, want 2 replayed, no truncation", st)
-		}
-		fresh := t.TempDir()
-		if err := writeMemoFixture(fresh); err != nil {
-			t.Fatal(err)
-		}
-		sameFiles(t, filepath.Join(fixture, "memo"), fresh)
 	})
 }
 

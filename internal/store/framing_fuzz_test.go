@@ -10,11 +10,11 @@ import (
 	"unicode"
 )
 
-// FuzzCheckLine probes the "<crc8hex> <json>" line framing that the job
-// journal and the memo log share through checkLine:
+// FuzzCheckLine probes the journal's "<crc8hex> <json>" line framing
+// through checkLine:
 //
-//  1. checkLine, and both journals' decoders on the body it accepts,
-//     never panic, whatever the bytes;
+//  1. checkLine, and the entry decoder on the body it accepts, never
+//     panic, whatever the bytes;
 //  2. an accepted line's body is everything after the ninth byte, and
 //     its CRC-32 is the value the header names;
 //  3. checkLine returns body for every encodeLine(body) with its newline
@@ -37,8 +37,7 @@ func FuzzCheckLine(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if body, ok := checkLine(line); ok {
-			(&Store{}).decode(body)
-			(&MemoLog{}).decode(body)
+			decodeEntry(body)
 			if !bytes.Equal(body, line[9:]) {
 				t.Fatalf("accepted %q but returned body %q", line, body)
 			}

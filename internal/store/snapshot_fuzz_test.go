@@ -7,81 +7,69 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotRestore hands arbitrary bytes to both journals as
+// FuzzSnapshotRestore hands arbitrary bytes to the journal as
 // snapshot.json:
 //
-//  1. neither Open panics, whatever the bytes;
-//  2. whatever snapshot an Open accepts (the memo log accepts any)
-//     survives a compaction, Close and reopen: the reopened journal
-//     holds what the compacted one held. The bounds of one record and
-//     one entry make every compaction prune, the path on which a job
+//  1. Open never panics, whatever the bytes;
+//  2. whatever snapshot Open accepts survives a compaction, Close and
+//     reopen: the reopened journal holds the records and cells the
+//     compacted one held, and hands a memo the same cells. A bound of
+//     one record makes every compaction prune, the path on which a
 //     snapshot naming one hash twice used to panic.
+//
+// The journal's snapshot is the daemon's only durable state and the
+// source of its warm memo at boot.
 func FuzzSnapshotRestore(f *testing.F) {
-	for _, file := range []string{"testdata/format/job/snapshot.json", "testdata/format/memo/snapshot.json"} {
-		b, err := os.ReadFile(file)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+	b, err := os.ReadFile("testdata/format/job/snapshot.json")
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(b)
+	// Two records journaling one key: Cells keeps the older record's.
+	f.Add([]byte(`{"seq":4,"records":[{"hash":"a","spec":{},"state":"merged","cells":[{"key":"k","value":1}]},` +
+		`{"hash":"b","spec":{},"state":"accepted","cells":[{"key":"k","value":2},{"key":"j","value":3}]}]}`))
 	dup := `{"hash":"h","spec":{},"state":"merged"}`
 	f.Add([]byte(`{"seq":2,"records":[` + dup + `,` + dup + `]}`))
 	f.Add([]byte(`{"seq":1,"records":[{"hash":"h","spec":{ "a" : "<&>" },"cells":[{"key":"k","value":1},{"key":"k","value":2}]}]}`))
+	// A memo-log snapshot, as a -memo-dir of earlier builds holds: it
+	// decodes to no records.
 	f.Add([]byte(`{"seq":3,"v":2,"entries":[{"key":"k","value":1}]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, snap []byte) {
-		jobDir, memoDir := t.TempDir(), t.TempDir()
-		for _, dir := range []string{jobDir, memoDir} {
-			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
+			t.Fatal(err)
 		}
-
 		opts := Options{MaxSpecs: 1}
-		if s, err := Open(jobDir, opts); err == nil {
-			s.mu.Lock()
-			err := s.log.compact()
-			want := jobRecords(t, s)
-			s.mu.Unlock()
-			if err != nil {
-				t.Fatalf("compact: %v", err)
-			}
-			s.Close()
-			s, err = Open(jobDir, opts)
-			if err != nil {
-				t.Fatalf("reopen after compaction: %v", err)
-			}
-			if got := jobRecords(t, s); got != want {
-				t.Fatalf("job records changed across compaction and reopen:\n got %s\nwant %s", got, want)
-			}
-			s.Close()
-		}
-
-		memoOpts := MemoLogOptions{MaxEntries: 1}
-		l, err := OpenMemoLog(memoDir, memoOpts)
+		s, err := Open(dir, opts)
 		if err != nil {
-			t.Fatalf("memo log Open: %v", err)
+			return
 		}
-		l.mu.Lock()
-		err = l.log.compact()
-		want := mustJSON(t, l.entries.list())
-		l.mu.Unlock()
+		s.mu.Lock()
+		err = s.log.compact()
+		want := jobRecords(t, s)
+		s.mu.Unlock()
 		if err != nil {
-			t.Fatalf("memo compact: %v", err)
+			t.Fatalf("compact: %v", err)
 		}
-		l.Close()
-		if l, err = OpenMemoLog(memoDir, memoOpts); err != nil {
-			t.Fatalf("memo reopen after compaction: %v", err)
+		wantCells := mustJSON(t, s.Cells())
+		s.Close()
+		s, err = Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopen after compaction: %v", err)
 		}
-		if got := mustJSON(t, l.Entries()); got != want {
-			t.Fatalf("memo entries changed across compaction and reopen:\n got %s\nwant %s", got, want)
+		defer s.Close()
+		if got := jobRecords(t, s); got != want {
+			t.Fatalf("job records changed across compaction and reopen:\n got %s\nwant %s", got, want)
 		}
-		l.Close()
+		if got := mustJSON(t, s.Cells()); got != wantCells {
+			t.Fatalf("cells changed across compaction and reopen:\n got %s\nwant %s", got, wantCells)
+		}
 	})
 }
 
-// jobRecords is a store's records and cells in acceptance order, as
+// jobRecords is a store's records and cells in their retention order, as
 // JSON. Caller holds s.mu or owns s.
 func jobRecords(t *testing.T, s *Store) string {
 	var recs []snapRecord

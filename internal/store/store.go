@@ -1,31 +1,34 @@
-// Package store holds greendimmd's two durable journals, each a small
-// state machine over one shared write-ahead log plus snapshot (wal.go):
+// Package store holds greendimmd's durable job journal, a small state
+// machine over a write-ahead log plus snapshot (wal.go). Store records,
+// per content-addressed spec hash (server.SpecHash), the job's lifecycle
+// state, its shard plan and completed cell ranges, and every completed
+// sweep-cell artifact. It is what lets queued and running jobs survive a
+// daemon restart, lets a resubmitted identical spec resume from its
+// completed cells instead of recomputing them, and lets a restarted
+// daemon boot with its memo warm: Cells hands every retained cell to the
+// memo, whichever spec journaled it. `greendimm -memo-dir` writes the
+// same journal, so its directory is a valid greendimmd -store-dir.
 //
-//   - Store, the job journal, records per content-addressed spec hash
-//     (server.SpecHash) the job's lifecycle state, its shard plan and
-//     completed cell ranges, and every completed sweep-cell artifact. It
-//     is what lets queued and running jobs survive a daemon restart, and
-//     lets a resubmitted identical spec resume from its completed cells
-//     instead of recomputing them.
-//   - MemoLog, the memo journal, records memo entries by key alone, so a
-//     restarted daemon boots with its baseline cells warm.
-//
-// Each journal owns one directory holding wal.log (one CRC-framed JSON
+// The journal owns one directory holding wal.log (one CRC-framed JSON
 // entry per line, with a monotonically increasing seq) and
 // snapshot.json (the full state as of some seq). Recovery loads the
 // snapshot, replays the WAL entries past its seq, and cuts the WAL at
 // the first torn or corrupt line; compaction writes a new snapshot and
 // then truncates the WAL. The wal type documents the crash-safe order.
+// Nothing else in the directory is read: a memo/ subdirectory that
+// earlier builds kept beside the journal is ignored.
 //
 // The store knows nothing about specs or simulation: specs are opaque
 // JSON, cells are opaque (key, JSON value) pairs whose keys are the
 // experiment layer's memo fingerprints. Verification that a replayed
-// cell is byte-exact happens above (exp.CellSet), not here.
+// cell is byte-exact happens above (exp.CellSet, sweep.Memo.Import), not
+// here.
 package store
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -79,7 +82,9 @@ type Options struct {
 	// is synced.
 	SnapshotEvery int
 	// MaxSpecs bounds retained records (default 256): at snapshot time
-	// the oldest terminal records (and their cells) are dropped.
+	// terminal records are dropped, least recently accepted first, those
+	// that hold no cells before those with cells, so the retained records
+	// keep as many cells as the bound allows for the memo to warm from.
 	// Non-terminal records are never dropped.
 	MaxSpecs int
 }
@@ -144,7 +149,11 @@ type walEntry struct {
 	Value  json.RawMessage `json:"value,omitempty"`  // cell
 }
 
-func (e *walEntry) setSeq(seq uint64) { e.Seq = seq }
+// decodeEntry parses one WAL line's JSON body.
+func decodeEntry(body []byte) (*walEntry, error) {
+	e := new(walEntry)
+	return e, json.Unmarshal(body, e)
+}
 
 // snapshotFile is the on-disk snapshot shape.
 type snapshotFile struct {
@@ -163,9 +172,9 @@ type Store struct {
 	opts Options
 
 	mu    sync.Mutex
-	log   *wal[*walEntry]
+	log   *wal
 	recs  map[string]*record
-	order []string // accept order of hashes
+	order []string // hashes, least recently accepted first
 }
 
 // Open loads (or initializes) the store in dir, recovering its state
@@ -173,7 +182,7 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := &Store{opts: opts, recs: make(map[string]*record)}
-	log, err := openWAL[*walEntry]("store", dir, opts.SnapshotEvery, s)
+	log, err := openWAL(dir, opts.SnapshotEvery, s)
 	if err != nil {
 		return nil, err
 	}
@@ -181,10 +190,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// restore installs a snapshot. A job snapshot that does not decode, or
-// that names one hash twice, fails Open: unlike the memo, the journal is
-// the only record of which jobs were in flight, and a repeated hash
-// would recover one job twice.
+// restore installs a snapshot. A snapshot that does not decode, or that
+// names one hash twice, fails Open: the journal is the only record of
+// which jobs were in flight, and a repeated hash would recover one job
+// twice.
 func (s *Store) restore(b []byte) (uint64, error) {
 	var snap snapshotFile
 	if err := json.Unmarshal(b, &snap); err != nil {
@@ -212,12 +221,6 @@ func (s *Store) restore(b []byte) (uint64, error) {
 	return snap.Seq, nil
 }
 
-func (s *Store) decode(body []byte) (uint64, *walEntry, error) {
-	e := new(walEntry)
-	err := json.Unmarshal(body, e)
-	return e.Seq, e, err
-}
-
 // apply mutates in-memory state with one entry. Caller holds mu (or is
 // single-threaded replay).
 func (s *Store) apply(e *walEntry) {
@@ -227,10 +230,14 @@ func (s *Store) apply(e *walEntry) {
 		if r == nil {
 			r = &record{hash: e.Hash, spec: e.Spec}
 			s.recs[e.Hash] = r
-			s.order = append(s.order, e.Hash)
+		} else {
+			s.order = slices.DeleteFunc(s.order, func(h string) bool { return h == e.Hash })
 		}
-		// Re-acceptance of a finished spec re-opens it, keeping its
-		// journaled cells and completed ranges: that is the resume path.
+		// A (re-)accepted record becomes the newest, so compaction keeps
+		// the specs still being submitted. Re-acceptance of a finished
+		// spec re-opens it, keeping its journaled cells and completed
+		// ranges: that is the resume path.
+		s.order = append(s.order, e.Hash)
 		r.state = StateAccepted
 		r.errMsg = ""
 		if len(e.Spec) > 0 {
@@ -311,18 +318,20 @@ func addRange(done [][2]int, lo, hi int) [][2]int {
 	return merged
 }
 
-// snapshot drops the oldest terminal records beyond MaxSpecs and
-// returns the full state as the snapshot at seq. Caller holds mu.
-func (s *Store) snapshot(seq uint64) any {
-	if excess := len(s.order) - s.opts.MaxSpecs; excess > 0 {
+// snapshot drops terminal records beyond MaxSpecs, cell-less ones
+// first, and returns the full state as the snapshot at seq. Caller
+// holds mu.
+func (s *Store) snapshot(seq uint64) snapshotFile {
+	excess := len(s.order) - s.opts.MaxSpecs
+	// The first pass drops only records without cells: a job that
+	// journals none (a VM scenario) leaves nothing to warm a memo from.
+	for _, withCells := range []bool{false, true} {
 		kept := s.order[:0]
 		for _, h := range s.order {
-			if excess > 0 {
-				if r := s.recs[h]; r != nil && r.state.Terminal() {
-					delete(s.recs, h)
-					excess--
-					continue
-				}
+			if r := s.recs[h]; excess > 0 && r.state.Terminal() && (withCells || len(r.cells.order) == 0) {
+				delete(s.recs, h)
+				excess--
+				continue
 			}
 			kept = append(kept, h)
 		}
@@ -409,8 +418,8 @@ func (s *Store) Get(hash string) (Record, bool) {
 	return r.view(), true
 }
 
-// Pending returns every non-terminal record in acceptance order — the
-// jobs a restarted daemon must re-enqueue.
+// Pending returns every non-terminal record, least recently accepted
+// first — the jobs a restarted daemon must re-enqueue.
 func (s *Store) Pending() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -435,6 +444,30 @@ func (s *Store) Resume(hash string) ([]Cell, [][2]int) {
 	return r.cells.list(), append([][2]int(nil), r.done...)
 }
 
+// Cells returns every retained record's cells for warming a memo, each
+// key once: the write of the newest record that holds it, at that
+// record's place. Records come least recently accepted first and each
+// record's cells in journal order, so an LRU-bounded memo that imports
+// the list in order keeps the cells the newest records use. Cells are
+// deterministic, so an older write of a key carries no other bytes.
+func (s *Store) Cells() []Cell {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seen := make(map[string]bool)
+	var out []Cell
+	for i := len(s.order) - 1; i >= 0; i-- {
+		r := s.recs[s.order[i]]
+		for j := len(r.cells.order) - 1; j >= 0; j-- {
+			if k := r.cells.order[j]; !seen[k] {
+				seen[k] = true
+				out = append(out, Cell{Key: k, Value: r.cells.vals[k]})
+			}
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
 // Stats returns one consistent read of the store's accounting.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -451,4 +484,37 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log.close()
+}
+
+// orderedCells is an insertion-ordered set of cells in which the first
+// write of a key wins: cells are deterministic, so a later write of the
+// same key carries no new information.
+type orderedCells struct {
+	vals  map[string]json.RawMessage
+	order []string // oldest first
+}
+
+func (c *orderedCells) has(key string) bool {
+	_, ok := c.vals[key]
+	return ok
+}
+
+func (c *orderedCells) add(key string, value json.RawMessage) {
+	if c.has(key) {
+		return
+	}
+	if c.vals == nil {
+		c.vals = make(map[string]json.RawMessage)
+	}
+	c.vals[key] = value
+	c.order = append(c.order, key)
+}
+
+// list returns the cells oldest first.
+func (c *orderedCells) list() []Cell {
+	out := make([]Cell, 0, len(c.order))
+	for _, k := range c.order {
+		out = append(out, Cell{Key: k, Value: c.vals[k]})
+	}
+	return out
 }

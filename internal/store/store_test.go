@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -205,6 +206,130 @@ func TestAddRange(t *testing.T) {
 	for _, c := range cases {
 		if got := addRange(append([][2]int(nil), c.in...), c.lo, c.hi); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("addRange(%v, %d, %d) = %v, want %v", c.in, c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
+// TestCellsRoundTripAcrossReopen checks the memo's view of the journal
+// survives recovery: every record's cells, oldest record first, each in
+// journal order.
+func TestCellsRoundTripAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	mustDo(t, "Accept", s.Accept("h1", json.RawMessage(`{}`)))
+	for i := 0; i < 3; i++ {
+		mustDo(t, "PutCell", s.PutCell("h1", fmt.Sprintf("k%d", i), json.RawMessage(fmt.Sprint(i))))
+	}
+	mustDo(t, "Accept", s.Accept("h2", json.RawMessage(`{}`)))
+	for i := 3; i < 5; i++ {
+		mustDo(t, "PutCell", s.PutCell("h2", fmt.Sprintf("k%d", i), json.RawMessage(fmt.Sprint(i))))
+	}
+	mustDo(t, "Close", s.Close())
+
+	s = open(t, dir, Options{})
+	defer s.Close()
+	got := s.Cells()
+	if len(got) != 5 {
+		t.Fatalf("recovered %d cells, want 5", len(got))
+	}
+	for i, c := range got {
+		if c.Key != fmt.Sprintf("k%d", i) || string(c.Value) != fmt.Sprint(i) {
+			t.Fatalf("cell %d = %s=%s, want k%d=%d", i, c.Key, c.Value, i, i)
+		}
+	}
+	if st := s.Stats(); st.Replayed != 7 || st.TruncatedTail {
+		t.Fatalf("stats = %+v, want 7 replayed, no truncation", st)
+	}
+}
+
+// TestCellsNewestRecordWins journals one key under an old and the newest
+// record: Cells hands it out once, at the newest record's place with
+// its write, so an LRU-bounded import of the list keeps the key while it
+// keeps the newest record's other cells; pruning the old record changes
+// nothing.
+func TestCellsNewestRecordWins(t *testing.T) {
+	s := open(t, t.TempDir(), Options{MaxSpecs: 2, SnapshotEvery: 1000})
+	defer s.Close()
+	for _, r := range []struct {
+		hash  string
+		cells []Cell
+	}{
+		{"old", []Cell{{"k", json.RawMessage(`1`)}, {"a", json.RawMessage(`0`)}}},
+		{"mid", []Cell{{"m", json.RawMessage(`5`)}}},
+		{"new", []Cell{{"k", json.RawMessage(`2`)}, {"j", json.RawMessage(`3`)}}},
+	} {
+		mustDo(t, "Accept", s.Accept(r.hash, json.RawMessage(`{}`)))
+		for _, c := range r.cells {
+			mustDo(t, "PutCell", s.PutCell(r.hash, c.Key, c.Value))
+		}
+		mustDo(t, "Finish", s.Finish(r.hash, StateMerged, ""))
+	}
+	want := []Cell{{"a", json.RawMessage(`0`)}, {"m", json.RawMessage(`5`)}, {"k", json.RawMessage(`2`)}, {"j", json.RawMessage(`3`)}}
+	if got := s.Cells(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Cells = %s, want %s", got, want)
+	}
+	mustDo(t, "compact", compact(s))
+	if got := s.Cells(); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("Cells after pruning the old record = %s, want %s", got, want[1:])
+	}
+}
+
+// TestMaxSpecsPruneCellLessFirst interleaves terminal records that hold
+// cells with records that hold none, as a daemon's mix of experiment and
+// VM-scenario jobs does, and resubmits the oldest record with cells.
+// Compaction drops every cell-less record before any record with cells,
+// and among those the least recently accepted, so the resubmitted
+// record survives and the journal keeps the cells the bound allows.
+func TestMaxSpecsPruneCellLessFirst(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{MaxSpecs: 4, SnapshotEvery: 1000})
+	for i := 0; i < 6; i++ {
+		h := fmt.Sprintf("c%d", i)
+		mustDo(t, "Accept", s.Accept(h, json.RawMessage(`{}`)))
+		mustDo(t, "PutCell", s.PutCell(h, h, json.RawMessage(`1`)))
+		mustDo(t, "Finish", s.Finish(h, StateMerged, ""))
+		h = fmt.Sprintf("v%d", i)
+		mustDo(t, "Accept", s.Accept(h, json.RawMessage(`{}`)))
+		mustDo(t, "Finish", s.Finish(h, StateMerged, ""))
+	}
+	mustDo(t, "Accept", s.Accept("c0", nil))
+	mustDo(t, "Finish", s.Finish("c0", StateMerged, ""))
+	mustDo(t, "compact", compact(s))
+	s.Close()
+	s = open(t, dir, Options{MaxSpecs: 4})
+	defer s.Close()
+	for i := 0; i < 6; i++ {
+		if _, ok := s.Get(fmt.Sprintf("v%d", i)); ok {
+			t.Fatalf("cell-less record v%d survived while records with cells were pruned", i)
+		}
+		if _, ok := s.Get(fmt.Sprintf("c%d", i)); ok != (i == 0 || i >= 3) {
+			t.Fatalf("record c%d retained = %v, want the four most recently accepted", i, ok)
+		}
+	}
+	want := []Cell{{"c3", json.RawMessage(`1`)}, {"c4", json.RawMessage(`1`)}, {"c5", json.RawMessage(`1`)}, {"c0", json.RawMessage(`1`)}}
+	if got := s.Cells(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Cells after prune = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkStorePutCell times one fsync'd journal append: a new cell of
+// about 1 KB, the only durable write a daemon makes per computed cell.
+// Compaction is pushed past the run, so the time is the append's alone.
+func BenchmarkStorePutCell(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{SnapshotEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Accept("h", json.RawMessage(`{"kind":"experiment"}`)); err != nil {
+		b.Fatal(err)
+	}
+	value := json.RawMessage(`{"v":"` + strings.Repeat("x", 1000) + `"}`)
+	b.SetBytes(int64(len(value)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.PutCell("h", "timing|"+strconv.Itoa(i), value); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

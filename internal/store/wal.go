@@ -3,13 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
-// LogStats is the accounting the log under each journal keeps.
+// LogStats is the accounting the log under the journal keeps.
 type LogStats struct {
 	// Appends counts WAL records written by this process; Snapshots
 	// counts compactions.
@@ -21,29 +22,12 @@ type LogStats struct {
 	TruncatedTail bool
 }
 
-// entry is one WAL record of a journal. Its JSON form starts with the
-// seq the log stamps on it at append.
-type entry interface{ setSeq(seq uint64) }
-
-// machine is a journal's in-memory state, as the log under it drives it.
-type machine[E entry] interface {
-	// restore installs the contents of snapshot.json and returns the seq
-	// they were taken at.
-	restore(snap []byte) (seq uint64, err error)
-	// decode parses one WAL line's JSON body into its seq and entry.
-	decode(body []byte) (seq uint64, e E, err error)
-	// apply installs one entry, replayed at open or just appended.
-	apply(e E)
-	// snapshot prunes the state and returns it as the snapshot at seq.
-	snapshot(seq uint64) any
-}
-
-// wal is the write-ahead log plus snapshot under one journal directory,
+// wal is the write-ahead log plus snapshot under the journal directory,
 // and the only code that touches its two files:
 //
 //	wal.log        one record per line, "<crc32-hex8> <json>\n", the JSON
 //	               an entry with a monotonically increasing seq
-//	snapshot.json  the machine's full state as of some seq
+//	snapshot.json  the Store's full state as of some seq
 //
 // Every append is fsynced before it is applied. Compaction writes and
 // fsyncs snapshot.json.tmp, renames it over snapshot.json, fsyncs the
@@ -52,12 +36,13 @@ type machine[E entry] interface {
 // the whole WAL, or the new snapshot and stale WAL lines whose seq it
 // already covers, which replay skips.
 //
-// A wal does no locking: its machine serializes every call.
-type wal[E entry] struct {
-	name    string // error prefix
+// The wal calls back into its Store: restore with the snapshot's bytes
+// at open, apply with every replayed or appended entry, and snapshot at
+// compaction. A wal does no locking: its Store serializes every call.
+type wal struct {
 	dir     string
 	every   int // appends between compactions
-	m       machine[E]
+	m       *Store
 	f       *os.File // nil once closed
 	seq     uint64
 	pending int // appends since the last compaction
@@ -69,40 +54,40 @@ type wal[E entry] struct {
 // snapshot's. Replay stops at the first torn or corrupt line — a crash
 // mid-append leaves at most one partial record at the tail — and cuts
 // the file there, so the next append continues from a clean state.
-func openWAL[E entry](name, dir string, every int, m machine[E]) (*wal[E], error) {
+func openWAL(dir string, every int, m *Store) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	l := &wal[E]{name: name, dir: dir, every: every, m: m}
+	l := &wal{dir: dir, every: every, m: m}
 	if err := l.replay(); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(l.path("wal.log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	l.f = f
 	return l, nil
 }
 
-func (l *wal[E]) path(file string) string { return filepath.Join(l.dir, file) }
+func (l *wal) path(file string) string { return filepath.Join(l.dir, file) }
 
-func (l *wal[E]) replay() error {
+func (l *wal) replay() error {
 	snap, err := os.ReadFile(l.path("snapshot.json"))
 	switch {
 	case err == nil:
 		if l.seq, err = l.m.restore(snap); err != nil {
-			return fmt.Errorf("%s: corrupt snapshot: %w", l.name, err)
+			return fmt.Errorf("store: corrupt snapshot: %w", err)
 		}
 	case !os.IsNotExist(err):
-		return fmt.Errorf("%s: reading snapshot: %w", l.name, err)
+		return fmt.Errorf("store: reading snapshot: %w", err)
 	}
 	b, err := os.ReadFile(l.path("wal.log"))
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("%s: reading wal: %w", l.name, err)
+		return fmt.Errorf("store: reading wal: %w", err)
 	}
 	off := 0
 	for off < len(b) {
@@ -114,13 +99,13 @@ func (l *wal[E]) replay() error {
 		if !ok {
 			break // corrupt from here on; cut the tail
 		}
-		seq, e, err := l.m.decode(body)
+		e, err := decodeEntry(body)
 		if err != nil {
 			break
 		}
-		if seq > l.seq {
+		if e.Seq > l.seq {
 			l.m.apply(e)
-			l.seq = seq
+			l.seq = e.Seq
 			l.stats.Replayed++
 		}
 		off += nl + 1
@@ -128,7 +113,7 @@ func (l *wal[E]) replay() error {
 	if off < len(b) {
 		l.stats.TruncatedTail = true
 		if err := os.Truncate(l.path("wal.log"), int64(off)); err != nil {
-			return fmt.Errorf("%s: truncating torn wal tail: %w", l.name, err)
+			return fmt.Errorf("store: truncating torn wal tail: %w", err)
 		}
 	}
 	return nil
@@ -136,21 +121,21 @@ func (l *wal[E]) replay() error {
 
 // append stamps e with the next seq, writes and fsyncs its line, applies
 // it, and compacts when every appends have accumulated.
-func (l *wal[E]) append(e E) error {
+func (l *wal) append(e *walEntry) error {
 	if l.f == nil {
-		return fmt.Errorf("%s: closed", l.name)
+		return errors.New("store: closed")
 	}
 	l.seq++
-	e.setSeq(l.seq)
+	e.Seq = l.seq
 	body, err := json.Marshal(e)
 	if err != nil {
-		return fmt.Errorf("%s: encoding wal entry: %w", l.name, err)
+		return fmt.Errorf("store: encoding wal entry: %w", err)
 	}
 	if _, err := l.f.WriteString(encodeLine(body)); err != nil {
-		return fmt.Errorf("%s: appending wal: %w", l.name, err)
+		return fmt.Errorf("store: appending wal: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("%s: syncing wal: %w", l.name, err)
+		return fmt.Errorf("store: syncing wal: %w", err)
 	}
 	l.m.apply(e)
 	l.stats.Appends++
@@ -161,25 +146,25 @@ func (l *wal[E]) append(e E) error {
 	return nil
 }
 
-// compact replaces snapshot.json with the machine's snapshot and
+// compact replaces snapshot.json with the Store's snapshot and
 // empties the WAL, in the crash-safe order described on wal.
-func (l *wal[E]) compact() error {
+func (l *wal) compact() error {
 	b, err := json.Marshal(l.m.snapshot(l.seq))
 	if err != nil {
-		return fmt.Errorf("%s: encoding snapshot: %w", l.name, err)
+		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
 	tmp := l.path("snapshot.json.tmp")
 	if err := writeSynced(tmp, b); err != nil {
-		return fmt.Errorf("%s: writing snapshot: %w", l.name, err)
+		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, l.path("snapshot.json")); err != nil {
-		return fmt.Errorf("%s: publishing snapshot: %w", l.name, err)
+		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}
 	if err := syncDir(l.dir); err != nil {
-		return fmt.Errorf("%s: syncing snapshot rename: %w", l.name, err)
+		return fmt.Errorf("store: syncing snapshot rename: %w", err)
 	}
 	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("%s: truncating wal: %w", l.name, err)
+		return fmt.Errorf("store: truncating wal: %w", err)
 	}
 	l.pending = 0
 	l.stats.Snapshots++
@@ -187,7 +172,7 @@ func (l *wal[E]) compact() error {
 }
 
 // close releases the WAL file; later appends fail.
-func (l *wal[E]) close() error {
+func (l *wal) close() error {
 	if l.f == nil {
 		return nil
 	}
@@ -255,45 +240,4 @@ func compactJSON(raw json.RawMessage) json.RawMessage {
 		return raw
 	}
 	return buf.Bytes()
-}
-
-// orderedCells is an insertion-ordered set of cells in which the first
-// write of a key wins: cells are deterministic, so a later write of the
-// same key carries no new information.
-type orderedCells struct {
-	vals  map[string]json.RawMessage
-	order []string // oldest first
-}
-
-func (c *orderedCells) has(key string) bool {
-	_, ok := c.vals[key]
-	return ok
-}
-
-func (c *orderedCells) add(key string, value json.RawMessage) {
-	if c.has(key) {
-		return
-	}
-	if c.vals == nil {
-		c.vals = make(map[string]json.RawMessage)
-	}
-	c.vals[key] = value
-	c.order = append(c.order, key)
-}
-
-// dropOldest removes the n oldest cells.
-func (c *orderedCells) dropOldest(n int) {
-	for _, k := range c.order[:n] {
-		delete(c.vals, k)
-	}
-	c.order = append([]string(nil), c.order[n:]...)
-}
-
-// list returns the cells oldest first.
-func (c *orderedCells) list() []Cell {
-	out := make([]Cell, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, Cell{Key: k, Value: c.vals[k]})
-	}
-	return out
 }
