@@ -21,8 +21,11 @@
 // invocation warms its memo from every journaled cell, so repeated
 // quick iterations skip the shared baselines, and the directory is a
 // valid greendimmd -store-dir that boots warm (and resumes a run that
-// was cut off). A -seed 0 run reads the journal but writes nothing to
-// it, since a job spec has no seed 0.
+// was cut off).
+//
+// -seed 0 is rejected: a job spec's seed 0 means seed 1, so the spec
+// paths (-trace-out, -backends, the -memo-dir journal) could not name
+// the seed the local registry path would run.
 package main
 
 import (
@@ -30,6 +33,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,7 +57,7 @@ func main() {
 	var (
 		which      = flag.String("experiment", "all", "experiment id (fig1..fig13, tab1..tab3, all)")
 		quick      = flag.Bool("quick", false, "reduced horizons (faster, noisier)")
-		seed       = flag.Int64("seed", 1, "random seed")
+		seed       = flag.Int64("seed", 1, "random seed (nonzero)")
 		parallel   = flag.Int("parallel", 0, "sweep worker goroutines per experiment (0 = all CPUs, 1 = serial; output is identical either way)")
 		csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
 		specFile   = flag.String("spec", "", "run a JSON job-spec file (one spec object or an array) instead of -experiment")
@@ -64,8 +68,8 @@ func main() {
 		memoDir    = flag.String("memo-dir", "", "job-journal directory for local runs (the format of greendimmd -store-dir): warm the memo from the sweep cells journaled there and journal each run's cells, so repeated invocations skip shared baselines")
 	)
 	flag.Parse()
-	if *parallel < 0 {
-		fmt.Fprintln(os.Stderr, "-parallel must be >= 0")
+	if err := checkFlags(*seed, *parallel); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *csvDir != "" {
@@ -104,6 +108,17 @@ func main() {
 		runLocalRegistry(os.Stdout, *which, opts, *csvDir, journal)
 		closeJournal()
 	}
+}
+
+// checkFlags rejects flag values that have no meaning.
+func checkFlags(seed int64, parallel int) error {
+	if seed == 0 {
+		return errors.New("-seed must be nonzero: a job spec's seed 0 means seed 1")
+	}
+	if parallel < 0 {
+		return errors.New("-parallel must be >= 0")
+	}
+	return nil
 }
 
 // openMemoDir opens dir as a job journal, warms a fresh memo in
@@ -148,10 +163,7 @@ func openMemoDir(dir string, opts *exp.Options) (*store.Store, func()) {
 // failed journal write is reported and never fails the run: the
 // journal only saves later work.
 func runJournaled(journal *store.Store, id string, fn exp.Runner, opts exp.Options) ([]*report.Table, []report.Series, error) {
-	// A spec's seed 0 means seed 1 (JobSpec.Normalize), so a -seed 0 run
-	// has no spec of its own to journal under: it runs on the warm memo
-	// and records nothing, lest a daemon resume it as a seed-1 job.
-	if journal == nil || opts.Seed == 0 {
+	if journal == nil {
 		return fn(opts)
 	}
 	spec, err := server.JobSpec{

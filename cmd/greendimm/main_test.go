@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -184,25 +185,31 @@ func TestMemoDirIsAStoreDir(t *testing.T) {
 	})
 }
 
-// TestRunJournaledSkipsSeedZero: a spec's seed 0 is seed 1, so a -seed 0
-// run journals no record that a daemon would resume as a seed-1 job.
-func TestRunJournaledSkipsSeedZero(t *testing.T) {
-	journal, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestSeedZeroRejected: a spec's seed 0 is seed 1, so the registry path
+// would run a seed that -trace-out, -backends and the -memo-dir journal
+// cannot name. greendimm exits 2 on -seed 0 before running anything,
+// as it does on a negative -parallel.
+func TestSeedZeroRejected(t *testing.T) {
+	if os.Getenv("GREENDIMM_TEST_MAIN") == "1" {
+		os.Args = []string{"greendimm", "-experiment", "fig8", "-quick", "-seed", "0"}
+		main()
+		return
 	}
-	defer journal.Close()
-	run := func(o exp.Options) ([]*report.Table, []report.Series, error) {
-		if o.CellSink != nil {
-			t.Error("a seed-0 run was given a cell sink")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSeedZeroRejected$")
+	cmd.Env = append(os.Environ(), "GREENDIMM_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-seed must be nonzero") {
+		t.Fatalf("greendimm -seed 0: %v, output:\n%s\nwant exit status 2 with a -seed error", err, out)
+	}
+
+	if err := checkFlags(1, -1); err == nil || !strings.Contains(err.Error(), "-parallel") {
+		t.Errorf("checkFlags(parallel -1) = %v, want a -parallel error", err)
+	}
+	for _, seed := range []int64{1, -1, 97} {
+		if err := checkFlags(seed, 0); err != nil {
+			t.Errorf("checkFlags(seed %d) = %v, want nil", seed, err)
 		}
-		return nil, nil, nil
-	}
-	if _, _, err := runJournaled(journal, "tab3", run, exp.Options{Quick: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st := journal.Stats(); st.Specs != 0 || st.Appends != 0 {
-		t.Fatalf("seed-0 run journaled %d records in %d appends, want none", st.Specs, st.Appends)
 	}
 }
 

@@ -21,12 +21,16 @@
 // out across the peers as cell-range shards of ~N sweep cells each,
 // merged locally to the byte-identical single-node report.
 //
-// Baseline sweep cells memoize in a shared LRU (-memo entries; negative
-// disables). With -store-dir the daemon warms the memo at start from
-// every cell its job journal retains, whichever spec journaled it, so a
-// restarted daemon serves repeat and overlapping sweeps without
-// recomputation. A `greendimm -memo-dir` directory is a valid -store-dir,
-// and a <dir>/memo/ subdirectory left by earlier builds is ignored.
+// Baseline sweep cells memoize in a shared LRU (-memo entries). With
+// -store-dir the daemon warms the memo at start from every cell its job
+// journal retains, whichever spec journaled it, so a restarted daemon
+// serves repeat and overlapping sweeps without recomputation. The memo
+// is also how a resumed job replays its journaled cells and a sharded
+// job its shards' cells: a job replays at most 45 keys (the Figs. 9-11
+// energy matrix), so a memo smaller than that recomputes the overflow,
+// slower but with the same bytes. A `greendimm -memo-dir` directory is
+// a valid -store-dir, and a <dir>/memo/ subdirectory left by earlier
+// builds is ignored.
 // Daemons expose the memo to peers (GET /v1/memo/keys,
 // POST /v1/memo/entries); a sharding daemon scores backends by
 // warm-key overlap and places each shard where its cells already live.
@@ -68,9 +72,13 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "durable job store directory: accepted jobs and their completed sweep cells are journaled, jobs interrupted by a crash resume from completed work at the next start; empty keeps the daemon in-memory")
 		shardCells = flag.Int("shard-cells", 0, "fan matrix experiments out across -peers as cell-range shards of about this many sweep cells each (0 disables; requires -peers)")
 		policyFile = flag.String("policy-config", "", "JSON policy config file; its block-selection pipeline becomes the default for vmserver jobs that omit a policy (see GET /v1/policies)")
-		memoSize   = flag.Int("memo", 0, "baseline-cell memo entries shared across jobs (0 = default 512, negative disables); with -store-dir the memo is warmed at start from the cells the job journal retains")
+		memoSize   = flag.Int("memo", 0, "baseline-cell memo entries shared across jobs (0 = default 512); resumed and sharded jobs replay their completed cells through it, at most 45 per job, so a smaller memo recomputes the overflow (slower, same bytes); with -store-dir the memo is warmed at start from the cells the job journal retains")
 	)
 	flag.Parse()
+	if *memoSize < 0 {
+		fmt.Fprintln(os.Stderr, "-memo must be >= 0")
+		os.Exit(2)
+	}
 
 	cfg := server.Config{
 		Workers:        *workers,
@@ -122,18 +130,15 @@ func main() {
 			// Shards dispatch through the failover ladder; whole jobs and
 			// the shard merge run through the config's own runner (shared
 			// limiter + memo), so local work stays inside one CPU budget.
-			shardOpts := cluster.ShardOptions{
+			// Warm-aware placement: shards route to the peer already
+			// holding their baseline cells, and missing entries are
+			// prefetched into this node's memo before the merge.
+			warm = cluster.NewWarm(pool, cfg.Memo, cluster.WarmOptions{Counters: ctr})
+			sr, err := cluster.NewShardRunner(d, cluster.ShardOptions{
 				CellsPerShard: *shardCells,
 				Exec:          cfg.BaseRunner(),
-			}
-			if cfg.Memo != nil {
-				// Warm-aware placement: shards route to the peer already
-				// holding their baseline cells, and missing entries are
-				// prefetched into this node's memo before the merge.
-				warm = cluster.NewWarm(pool, cfg.Memo, cluster.WarmOptions{Counters: ctr})
-				shardOpts.Warm = warm
-			}
-			sr, err := cluster.NewShardRunner(d, shardOpts)
+				Warm:          warm,
+			})
 			if err != nil {
 				log.Fatalf("shard runner: %v", err)
 			}

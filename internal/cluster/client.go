@@ -72,7 +72,8 @@ type StatusError struct {
 	Msg  string
 	// RetryAfter carries the server's retry hint on queue_full — the
 	// larger of the Retry-After header and the envelope's retry_after_s
-	// (zero when absent).
+	// (zero when absent), each clamped to [0, server.MaxRetryAfterS]
+	// seconds, the range a daemon sends.
 	RetryAfter time.Duration
 }
 
@@ -383,7 +384,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			if json.Unmarshal(envelope.Error, &body) == nil && body.Code != "" {
 				se.Code = body.Code
 				se.Msg = body.Message
-				se.RetryAfter = time.Duration(body.RetryAfterS) * time.Second
+				se.RetryAfter = retryAfter(body.RetryAfterS)
 			} else {
 				var msg string
 				if json.Unmarshal(envelope.Error, &msg) == nil {
@@ -391,8 +392,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 				}
 			}
 		}
-		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && time.Duration(secs)*time.Second > se.RetryAfter {
-			se.RetryAfter = time.Duration(secs) * time.Second
+		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
+			se.RetryAfter = max(se.RetryAfter, retryAfter(secs))
 		}
 		return se
 	}
@@ -400,12 +401,28 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, limit))
 		return nil
 	}
-	lr := &io.LimitedReader{R: resp.Body, N: limit}
-	if err := json.NewDecoder(lr).Decode(out); err != nil {
-		if lr.N == 0 {
-			return fmt.Errorf("cluster: %s %s response exceeds %d bytes", method, path, limit)
-		}
+	// Read one byte past the bound, and drain what follows the decoded
+	// value, so a body past the bound is an error even when a JSON value
+	// ends inside it. A read error in the drain is dropped: it comes
+	// after a complete value and changes nothing the caller gets.
+	lr := &io.LimitedReader{R: resp.Body, N: limit + 1}
+	err = json.NewDecoder(lr).Decode(out)
+	if err == nil {
+		_, _ = io.Copy(io.Discard, lr)
+	}
+	switch {
+	case lr.N == 0:
+		return fmt.Errorf("cluster: %s %s response exceeds %d bytes", method, path, limit)
+	case err != nil:
 		return fmt.Errorf("cluster: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// retryAfter converts a peer's retry hint in seconds to a duration,
+// clamped to [0, server.MaxRetryAfterS] seconds before it is scaled, so
+// neither a negative nor a huge hint (which would overflow) turns into
+// a sleep a daemon never asks for.
+func retryAfter(secs int) time.Duration {
+	return time.Duration(min(max(secs, 0), server.MaxRetryAfterS)) * time.Second
 }

@@ -37,40 +37,44 @@ func TestShardPolicyGridMergeDeterminism(t *testing.T) {
 	}
 }
 
-// pacedRunner slows a backend down to test speed: every sweep cell costs
-// a few extra milliseconds, so an 18-cell grid stays in flight long
-// enough for the coordinator test to crash it mid-sweep.
-func pacedRunner(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
-	inner := h.CellObserved
-	h.CellObserved = func(a exp.CellArtifact) {
-		time.Sleep(4 * time.Millisecond)
-		if inner != nil {
-			inner(a)
+// paced slows run down to test speed: every sweep cell costs a few
+// extra milliseconds, so an 18-cell grid stays in flight long enough
+// for the coordinator test to crash it mid-sweep.
+func paced(run func(server.JobSpec, server.RunHooks) (*server.Result, error)) func(server.JobSpec, server.RunHooks) (*server.Result, error) {
+	return func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
+		inner := h.CellObserved
+		h.CellObserved = func(a exp.CellArtifact) {
+			time.Sleep(4 * time.Millisecond)
+			if inner != nil {
+				inner(a)
+			}
 		}
+		return run(spec, h)
 	}
-	return server.Execute(spec, h)
 }
 
 // polgridCoordinator stands up the full daemon composition under test:
 // a coordinator with a durable store (-store-dir) whose runner fans
 // matrix jobs out across two real backends as cell-range shards
-// (-shard-cells), plus a counter observing every cell the coordinator
-// journals.
+// (-shard-cells) and merges on the server's own memo, plus a counter
+// observing every cell the coordinator offers its journal.
 func polgridCoordinator(t *testing.T, dir string, observed *atomic.Int64) *server.Server {
 	t.Helper()
 	ctr := &Counters{}
 	var urls []string
 	for i := 0; i < 2; i++ {
-		hs, _ := newBackend(t, server.Config{Workers: 1, QueueDepth: 16, Runner: pacedRunner})
+		hs, _ := newBackend(t, server.Config{Workers: 1, QueueDepth: 16, Runner: paced(server.Execute)})
 		urls = append(urls, hs.URL)
 	}
 	pool := NewPool(urls, PoolConfig{Client: fastClient(ctr)})
 	d := NewDispatcher(pool, Options{Counters: ctr})
-	sr, err := NewShardRunner(d, ShardOptions{CellsPerShard: 2, Exec: pacedRunner, Counters: ctr})
+	cfg := server.Config{Workers: 1, QueueDepth: 4, StoreDir: dir}
+	cfg.Memo = cfg.NewMemo()
+	sr, err := NewShardRunner(d, ShardOptions{CellsPerShard: 2, Exec: paced(cfg.BaseRunner()), Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
+	cfg.Runner = func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
 		inner := h.CellObserved
 		h.CellObserved = func(a exp.CellArtifact) {
 			observed.Add(1)
@@ -80,7 +84,7 @@ func polgridCoordinator(t *testing.T, dir string, observed *atomic.Int64) *serve
 		}
 		return sr.Run(spec, h)
 	}
-	s, err := server.Open(server.Config{Workers: 1, QueueDepth: 4, StoreDir: dir, Runner: run})
+	s, err := server.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func polgridCoordinator(t *testing.T, dir string, observed *atomic.Int64) *serve
 // store, the coordinator is crashed mid-grid (forced shutdown, job left
 // open in the journal), and a second coordinator over the same store
 // re-enqueues it, resumes from the journaled cells, and merges the
-// byte-identical single-node report.
+// byte-identical single-node report, journaling each cell once.
 func TestShardPolicyGridStoreRecovery(t *testing.T) {
 	want := localExec(t, polgridSpec())
 	dir := t.TempDir()
@@ -125,8 +129,7 @@ func TestShardPolicyGridStoreRecovery(t *testing.T) {
 		t.Fatalf("forced shutdown: %v", err)
 	}
 
-	var observed2 atomic.Int64
-	s2 := polgridCoordinator(t, dir, &observed2)
+	s2 := polgridCoordinator(t, dir, new(atomic.Int64))
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -157,9 +160,12 @@ func TestShardPolicyGridStoreRecovery(t *testing.T) {
 	if final.Result == nil || final.Result.Text != want.Text {
 		t.Fatal("recovered sharded polgrid report is not byte-identical to the single-node run")
 	}
-	// The resumed run must have recomputed strictly fewer cells than the
-	// full grid — resuming, not restarting.
-	if n := observed2.Load(); n >= 18 {
-		t.Fatalf("second coordinator journaled %d fresh cells; it restarted instead of resuming", n)
+	// The merge replays the journaled cells with the new shards' and
+	// must compute strictly fewer cells than the full grid — resuming,
+	// not restarting. Its replays reach the journal again, which holds
+	// each key once.
+	if n := s2.Memo().Computes(); n >= 18 {
+		t.Fatalf("second coordinator's merge computed %d memo cells; it restarted instead of resuming", n)
 	}
+	checkJournaledOnce(t, dir, 18)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,8 +19,9 @@ import (
 // the single report the job would have produced on one node. The merge
 // is byte-identical by construction: shards return canonical cell
 // artifacts (pure functions of the spec hash), and the merge re-runs
-// the full spec locally with those artifacts as a verified replay
-// source — every heavy cell replays, only cheap rendering recomputes.
+// the full spec locally with those artifacts imported into its memo
+// (codec-verified) — every heavy cell replays as a memo hit, only cheap
+// rendering recomputes.
 //
 // Failed shards re-shard: the range halves and each half retries
 // through the ladder, down to maxReshard levels, so one poisoned range
@@ -110,7 +112,9 @@ func (r *ShardRunner) eligible(spec server.JobSpec) bool {
 // Run executes one job, sharding it across the pool when eligible.
 // Implements the server.Config.Runner contract: h's hooks are honored
 // (Stop aborts shards promptly; Cells/Ranges/CellObserved carry the
-// durable-store resume state; Trace records "shard" and "merge" spans).
+// durable-store resume state, and the merge replays h.Cells with the
+// shards' artifacts through Exec's memo; Trace records "shard" and
+// "merge" spans).
 func (r *ShardRunner) Run(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
 	if !r.eligible(spec) {
 		return r.opts.Exec(spec, h)
@@ -158,15 +162,15 @@ func (r *ShardRunner) Run(spec server.JobSpec, h server.RunHooks) (*server.Resul
 			return nil, err
 		}
 	}
-	// Merge: re-run the full spec locally with every completed cell as a
-	// replay source — the shards' fresh artifacts unioned with whatever
-	// the job store already held (h.Cells, on a resumed job). The union
-	// covers all heavy cells, so the merge only replays, renders, and
-	// recomputes whatever a lost artifact leaves behind (self-healing,
-	// still byte-identical). CellObserved stays installed: a recomputed
-	// cell gets journaled; replayed ones are not re-offered.
+	// Merge: re-run the full spec locally, replaying every completed
+	// cell — whatever the job store already held (h.Cells, on a resumed
+	// job) plus the shards' fresh artifacts. They cover all heavy cells,
+	// so the merge only replays, renders, and recomputes whatever a lost
+	// artifact leaves behind (self-healing, still byte-identical).
+	// CellObserved stays installed: every cell reaches it, and the job
+	// store journals only the keys it does not hold yet.
 	mh := h
-	mh.Cells = exp.NewCellSet(append(h.Cells.Artifacts(), collected...))
+	mh.Cells = slices.Concat(h.Cells, collected)
 	mh.Ranges = nil
 	sp := h.Trace.Start("merge")
 	res, err := r.opts.Exec(spec, mh)
@@ -178,7 +182,7 @@ func (r *ShardRunner) Run(spec server.JobSpec, h server.RunHooks) (*server.Resul
 // dispatcher's concurrency), delivering each completed shard's cells
 // through h.CellObserved before journaling its range done, and halving
 // failed ranges up to maxReshard levels. It returns every collected
-// artifact for the merge's replay source.
+// artifact for the merge to replay.
 func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned [][2]int) ([]exp.CellArtifact, error) {
 	ctx, cancel := stopContext(h.Stop)
 	defer cancel()

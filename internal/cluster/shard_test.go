@@ -2,13 +2,18 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"greendimm/internal/exp"
 	"greendimm/internal/server"
+	"greendimm/internal/store"
 )
 
 // shardSpec is the shard-test workhorse: fig8 in quick mode is a real
@@ -23,7 +28,8 @@ func execLocal(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
 }
 
 // newShardHarness stands up n real simulation backends behind a pool
-// and returns a shard runner over them plus its counters.
+// and returns a shard runner over them plus its counters. opts.Exec
+// defaults to execLocal.
 func newShardHarness(t *testing.T, n int, opts ShardOptions) (*ShardRunner, *Counters) {
 	t.Helper()
 	ctr := &Counters{}
@@ -34,7 +40,9 @@ func newShardHarness(t *testing.T, n int, opts ShardOptions) (*ShardRunner, *Cou
 	}
 	pool := NewPool(urls, PoolConfig{Client: fastClient(ctr)})
 	d := NewDispatcher(pool, Options{Counters: ctr})
-	opts.Exec = execLocal
+	if opts.Exec == nil {
+		opts.Exec = execLocal
+	}
 	opts.Counters = ctr
 	sr, err := NewShardRunner(d, opts)
 	if err != nil {
@@ -80,23 +88,73 @@ func TestShardMergeDeterminism(t *testing.T) {
 	}
 }
 
+// walCellKeys counts the cell entries per key in the WAL of the job
+// journal in dir, whose lines are "<crc32-hex8> <json entry>".
+func walCellKeys(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var e struct{ Op, Key string }
+		_, body, ok := strings.Cut(line, " ")
+		if !ok || json.Unmarshal([]byte(body), &e) != nil {
+			t.Fatalf("unreadable WAL line %q", line)
+		}
+		if e.Op == "cell" {
+			counts[e.Key]++
+		}
+	}
+	return counts
+}
+
+// checkJournaledOnce fails unless the journal in dir holds want cell
+// entries, each under a distinct key.
+func checkJournaledOnce(t *testing.T, dir string, want int) {
+	t.Helper()
+	keys := walCellKeys(t, dir)
+	for key, n := range keys {
+		if n != 1 {
+			t.Errorf("cell %q journaled %d times", key, n)
+		}
+	}
+	if len(keys) != want {
+		t.Errorf("journal holds %d cell keys, want %d", len(keys), want)
+	}
+}
+
 // TestShardJournalFlow checks the durable-store transport: the plan and
-// every completed range are journaled in cell-before-range order, and
-// ranges already done are not re-executed.
+// every completed range are journaled in cell-before-range order,
+// ranges already done are not re-executed, each cell reaches a real job
+// journal once, and the merge computes only the cells no artifact
+// covers.
 func TestShardJournalFlow(t *testing.T) {
 	want := mustFingerprint(t, localExec(t, shardSpec()))
-	sr, ctr := newShardHarness(t, 2, ShardOptions{CellsPerShard: 2, MaxShards: 5})
+	// The merge runs against a memo the test reads.
+	cfg := server.Config{Workers: 1}
+	cfg.Memo = cfg.NewMemo()
+	sr, ctr := newShardHarness(t, 2, ShardOptions{CellsPerShard: 2, MaxShards: 5, Exec: cfg.BaseRunner()})
 
+	dir := t.TempDir()
+	journal, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hash = "fig8"
+	if err := journal.Accept(hash, json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
-	cells := map[string]int{}
 	var doneRanges [][2]int
 	var plannedTotal int
 	var planned [][2]int
 	h := server.RunHooks{
 		CellObserved: func(a exp.CellArtifact) {
-			mu.Lock()
-			cells[a.Key]++
-			mu.Unlock()
+			if err := journal.PutCell(hash, a.Key, a.Value); err != nil {
+				t.Error(err)
+			}
 		},
 		Ranges: &server.RangeLog{
 			// [0,7) is already journaled: only [7,12) may execute.
@@ -124,6 +182,9 @@ func TestShardJournalFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := mustFingerprint(t, res); got != want {
 		t.Fatal("resumed shard run diverged from single-node run")
 	}
@@ -138,14 +199,13 @@ func TestShardJournalFlow(t *testing.T) {
 	if !reflect.DeepEqual(covered, [][2]int{{0, 7}}) {
 		t.Fatalf("completed ranges %v do not cover [7,12)", doneRanges)
 	}
-	// The journal sees each fresh heavy cell exactly once — the 5 shard
-	// cells, plus the self-healed recomputations of [0,7)'s cells during
-	// the merge (those journal too; replays would not).
-	for key, n := range cells {
-		if n != 1 {
-			t.Errorf("cell %q journaled %d times", key, n)
-		}
+	// The merge replays the 5 shard cells and recomputes [0,7)'s 7. It
+	// offers all 12 to the journal, which appends each key once: the
+	// shard cells as they land, the self-healed ones from the merge.
+	if n := cfg.Memo.Computes(); n != 7 {
+		t.Errorf("merge computed %d memo cells, want the 7 self-healed", n)
 	}
+	checkJournaledOnce(t, dir, 12)
 }
 
 // TestShardReshardOnFailure fault-injects width: every path — both

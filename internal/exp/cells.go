@@ -11,7 +11,8 @@ import (
 // This file is the sweep layer's decomposition seam: a matrix-shaped
 // experiment can run just a contiguous slice of its cells (a "shard"),
 // export every memoized cell it computed as a content-keyed artifact,
-// and later replay those artifacts instead of re-simulating. Three rules
+// and later replay those artifacts instead of re-simulating: imported
+// into a memo through MemoCodec, each replays as a memo hit. Three rules
 // make the decomposition sound:
 //
 //  1. Every expensive cell already flows through exp/memo.go under a
@@ -66,72 +67,13 @@ func compactValue(raw json.RawMessage) json.RawMessage {
 	return buf.Bytes()
 }
 
-// Compact returns the artifact with its value in canonical compact form.
-func (a CellArtifact) Compact() CellArtifact {
-	return CellArtifact{Key: a.Key, Value: compactValue(a.Value)}
-}
-
-// CellSet is a replay source of completed cell artifacts, keyed by memo
-// fingerprint. Lookups are read-only and safe for concurrent use after
-// construction.
-type CellSet struct {
-	vals map[string]json.RawMessage
-}
-
-// NewCellSet builds a set from artifacts, compacting every value. The
-// first artifact wins a duplicated key (values are deterministic, so
-// duplicates agree whenever both are valid).
-func NewCellSet(arts []CellArtifact) *CellSet {
-	s := &CellSet{vals: make(map[string]json.RawMessage, len(arts))}
-	for _, a := range arts {
-		if _, ok := s.vals[a.Key]; !ok {
-			s.vals[a.Key] = compactValue(a.Value)
-		}
-	}
-	return s
-}
-
-// Len reports the number of stored artifacts. A nil set has zero.
-func (s *CellSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.vals)
-}
-
-// Artifacts returns the set's contents sorted by key.
-func (s *CellSet) Artifacts() []CellArtifact {
-	if s == nil {
-		return nil
-	}
-	out := make([]CellArtifact, 0, len(s.vals))
-	for k, v := range s.vals {
-		out = append(out, CellArtifact{Key: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// lookup returns the raw value for key, if present.
-func (s *CellSet) lookup(key string) (json.RawMessage, bool) {
-	if s == nil {
-		return nil, false
-	}
-	v, ok := s.vals[key]
-	return v, ok
-}
-
-// cellFromSet decodes the artifact stored under key into T, verifying
-// exactness: the decode is strict (unknown fields rejected) and the
-// decoded value must re-marshal to the stored bytes. Any mismatch —
-// schema drift, truncation, a value that lost information in transit —
-// reads as a miss, so the caller recomputes instead of diverging.
-func cellFromSet[T any](s *CellSet, key string) (T, bool) {
+// decodeCell decodes a cell artifact's canonical bytes into T,
+// verifying exactness: the decode is strict (unknown fields rejected)
+// and the decoded value must re-marshal to the same bytes. Any mismatch
+// — schema drift, truncation, a value that lost information in transit
+// — reads as ok=false, so the caller recomputes instead of diverging.
+func decodeCell[T any](raw json.RawMessage) (T, bool) {
 	var zero T
-	raw, ok := s.lookup(key)
-	if !ok {
-		return zero, false
-	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var v T
@@ -155,7 +97,7 @@ func encodeCell[T any](v T) (json.RawMessage, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if _, ok := cellFromSet[T](&CellSet{vals: map[string]json.RawMessage{"x": raw}}, "x"); !ok {
+	if _, ok := decodeCell[T](raw); !ok {
 		return nil, false
 	}
 	return raw, true
@@ -200,7 +142,7 @@ func CellCount(id string, o Options) (int, error) {
 		return 0, fmt.Errorf("exp: unknown experiment %q", id)
 	}
 	o.CellRange = &CellRange{}
-	o.CellSource, o.CellSink = nil, nil
+	o.CellSink = nil
 	_, _, err := fn(o)
 	var rd *RangeDone
 	if errors.As(err, &rd) {

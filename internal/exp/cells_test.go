@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"greendimm/internal/sweep"
 )
 
 // artifactLog collects a run's CellSink calls. A parallel sweep calls
@@ -18,8 +22,64 @@ type artifactLog struct {
 
 func (l *artifactLog) sink(a CellArtifact) {
 	l.mu.Lock()
-	l.arts = append(l.arts, a.Compact())
+	l.arts = append(l.arts, a)
 	l.mu.Unlock()
+}
+
+// sorted returns the collected artifacts sorted by key.
+func (l *artifactLog) sorted() []CellArtifact {
+	out := append([]CellArtifact(nil), l.arts...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// replayMemo imports artifacts into a fresh memo through MemoCodec, the
+// way a resumed or merged job replays them, and checks that every one
+// verified.
+func replayMemo(t *testing.T, arts []CellArtifact) *sweep.Memo {
+	t.Helper()
+	m := sweep.NewMemo(0)
+	m.SetCodec(MemoCodec())
+	entries := make([]sweep.Entry, len(arts))
+	for i, a := range arts {
+		entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: a.Key, Value: a.Value}
+	}
+	if n := m.Import(entries); n != len(arts) {
+		t.Fatalf("memo imported %d of %d artifacts", n, len(arts))
+	}
+	return m
+}
+
+// checkReplay runs fn with the artifacts replayed through an imported
+// memo: it must compute no cell, offer every replayed cell to the sink
+// with its artifact's bytes, and render the plain run's report.
+func checkReplay(t *testing.T, fn Runner, base Options, arts []CellArtifact) {
+	t.Helper()
+	plain, _, err := fn(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := base
+	o.Memo = replayMemo(t, arts)
+	var replayed artifactLog
+	o.CellSink = replayed.sink
+	fromCells, _, err := fn(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Memo.Computes(); n != 0 {
+		t.Fatalf("replayed run computed %d cells, want 0", n)
+	}
+	want := append([]CellArtifact(nil), arts...)
+	sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+	if got := replayed.sorted(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed run offered %d artifacts to the sink, want the %d replayed", len(got), len(want))
+	}
+	pb, _ := json.Marshal(plain)
+	rb, _ := json.Marshal(fromCells)
+	if string(pb) != string(rb) {
+		t.Fatalf("replayed report diverged from computed report:\n%s\nvs\n%s", rb, pb)
+	}
 }
 
 // TestCellCount probes sweep sizes without simulating: fig8's (workload
@@ -69,10 +129,10 @@ func TestSweepRangeValidation(t *testing.T) {
 }
 
 // TestRangeArtifactsReplay is the decomposition soundness check at the
-// exp layer: two disjoint ranges produce artifacts; replaying them into
-// a full run must yield a report byte-identical to an untouched full
-// run — and the replayed run must not re-offer replayed cells to the
-// sink.
+// exp layer: two disjoint ranges produce artifacts; replaying them
+// through a memo into a full run must compute nothing, offer all 12
+// cells to the sink, and yield a report byte-identical to an untouched
+// full run.
 func TestRangeArtifactsReplay(t *testing.T) {
 	fn := Registry()["fig8"]
 	base := Options{Quick: true, Seed: 1}
@@ -90,31 +150,11 @@ func TestRangeArtifactsReplay(t *testing.T) {
 	if len(sunk.arts) != 12 {
 		t.Fatalf("collected %d artifacts from 12 cells", len(sunk.arts))
 	}
-
-	plain, _, err := fn(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed artifactLog
-	o := base
-	o.CellSource = NewCellSet(sunk.arts)
-	o.CellSink = replayed.sink
-	fromCells, _, err := fn(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed.arts) != 0 {
-		t.Fatalf("replayed run re-offered %d cells to the sink", len(replayed.arts))
-	}
-	pb, _ := json.Marshal(plain)
-	rb, _ := json.Marshal(fromCells)
-	if string(pb) != string(rb) {
-		t.Fatalf("replayed report diverged from computed report:\n%s\nvs\n%s", rb, pb)
-	}
+	checkReplay(t, fn, base, sunk.arts)
 }
 
 // TestCellRoundTrip pins the verify-on-both-ends contract of
-// encodeCell/cellFromSet.
+// encodeCell/decodeCell.
 func TestCellRoundTrip(t *testing.T) {
 	type cell struct {
 		V int     `json:"v"`
@@ -124,8 +164,7 @@ func TestCellRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("encodeCell rejected a clean value")
 	}
-	set := NewCellSet([]CellArtifact{{Key: "k", Value: raw}})
-	got, ok := cellFromSet[cell](set, "k")
+	got, ok := decodeCell[cell](raw)
 	if !ok || got != (cell{V: 3, F: 1.5}) {
 		t.Fatalf("round trip = %+v, %v", got, ok)
 	}
@@ -135,14 +174,11 @@ func TestCellRoundTrip(t *testing.T) {
 		"truncated":     `{"v":3`,
 		"lossy":         `{"v":3,"f":1.50}`, // re-marshals to different bytes
 		"wrong shape":   `[3]`,
+		"empty":         ``,
 	} {
-		s := NewCellSet([]CellArtifact{{Key: "k", Value: json.RawMessage(val)}})
-		if _, ok := cellFromSet[cell](s, "k"); ok {
+		if _, ok := decodeCell[cell](json.RawMessage(val)); ok {
 			t.Errorf("%s: corrupt artifact accepted", name)
 		}
-	}
-	if _, ok := cellFromSet[cell](nil, "k"); ok {
-		t.Error("nil set returned a hit")
 	}
 	// Values that cannot marshal at all yield no artifact.
 	if _, ok := encodeCell(math.NaN()); ok {

@@ -72,20 +72,11 @@ type Options struct {
 	// carries it separately (server.JobSpec.Cells).
 	CellRange *CellRange `json:"-"`
 
-	// CellSource, when non-nil, replays previously completed cells:
-	// every memoized cell whose fingerprint key is present decodes from
-	// the set instead of simulating. Replay is verified (strict decode +
-	// re-marshal must reproduce the stored bytes); failures fall through
-	// to recomputation, so a source can only change execution time,
-	// never bytes. Pure execution knob.
-	CellSource *CellSet `json:"-"`
-
 	// CellSink, when non-nil, receives one CellArtifact per memoized
-	// cell the run resolves — computed or served from Memo, but not
-	// replayed from CellSource (those are already journaled). Called
-	// from concurrent sweep cells when Parallelism != 1, so it must be
-	// safe for concurrent use. Pure observation: it must not influence
-	// results.
+	// cell the run resolves, computed or served from Memo (replayed
+	// artifacts imported into Memo included). Called from concurrent
+	// sweep cells when Parallelism != 1, so it must be safe for
+	// concurrent use. Pure observation: it must not influence results.
 	CellSink func(CellArtifact) `json:"-"`
 
 	// KeyProbe, when non-nil, switches the run into key-prediction mode

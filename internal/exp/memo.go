@@ -15,13 +15,12 @@ import (
 // indistinguishable from recomputing it — TestMemoDeterminism holds
 // rendered reports byte-identical with the memo off, cold, and shared.
 
-// memoized resolves one cell under key: first the replay source (a
-// verified hit returns without simulating), then the memo, then a fresh
-// compute. Every resolution that did simulate — or hit the memo, which
-// a fresh peer would not have — is offered to the sink as a canonical
-// artifact; CellSource hits are not re-offered, so resumed runs do not
-// re-journal what the journal already holds. A zero Options computes
-// directly, so call sites thread Options without branching.
+// memoized resolves one cell under key: the memo, else a fresh
+// compute. Every resolution, computed or memo hit (a replayed artifact
+// imported into the memo included), is offered to the sink as a
+// canonical artifact; the job journal skips keys it already holds. A
+// zero Options computes directly, so call sites thread Options without
+// branching.
 func memoized[T any](o Options, key string, compute func() (T, error)) (T, error) {
 	if o.KeyProbe != nil {
 		// Key-probe mode (PredictKeys): record which memo keys the cell
@@ -30,9 +29,6 @@ func memoized[T any](o Options, key string, compute func() (T, error)) (T, error
 		o.KeyProbe(key)
 		var zero T
 		return zero, nil
-	}
-	if v, ok := cellFromSet[T](o.CellSource, key); ok {
-		return v, nil
 	}
 	var v T
 	var err error

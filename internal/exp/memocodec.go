@@ -74,12 +74,11 @@ func encodeTyped[T any](val any) (json.RawMessage, bool) {
 }
 
 // decodeTyped revives serialized bytes as the family's concrete type,
-// with the same strict-decode + re-marshal exactness check replay uses:
-// compact the value first (it may have crossed the pretty-printing HTTP
-// layer), and reject anything that does not reproduce its own bytes.
+// with decodeCell's strict-decode + re-marshal exactness check: compact
+// the value first (it may have crossed the pretty-printing HTTP layer),
+// and reject anything that does not reproduce its own bytes.
 func decodeTyped[T any](raw json.RawMessage) (any, bool) {
-	set := NewCellSet([]CellArtifact{{Key: "x", Value: raw}})
-	v, ok := cellFromSet[T](set, "x")
+	v, ok := decodeCell[T](compactValue(raw))
 	if !ok {
 		return nil, false
 	}

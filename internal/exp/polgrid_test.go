@@ -121,8 +121,9 @@ func TestPolicyGridDeterminismAcrossParallelism(t *testing.T) {
 }
 
 // TestPolicyGridShardCells: polgrid is a first-class Shardable — an
-// 18-cell probe, disjoint cell ranges whose artifacts replay into the
-// byte-identical full report, exactly like the paper matrices.
+// 18-cell probe, disjoint cell ranges whose artifacts replay through a
+// memo into the byte-identical full report, computing nothing and
+// offering all 18 cells to the sink, exactly like the paper matrices.
 func TestPolicyGridShardCells(t *testing.T) {
 	n, err := CellCount("polgrid", Options{Quick: true, Seed: 1})
 	if err != nil || n != 18 {
@@ -145,24 +146,5 @@ func TestPolicyGridShardCells(t *testing.T) {
 		t.Fatalf("collected %d artifacts from 18 cells", len(sunk.arts))
 	}
 
-	plain, _, err := fn(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := base
-	o.CellSource = NewCellSet(sunk.arts)
-	var replayed artifactLog
-	o.CellSink = replayed.sink
-	fromCells, _, err := fn(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed.arts) != 0 {
-		t.Fatalf("replayed run re-offered %d cells to the sink", len(replayed.arts))
-	}
-	pb, _ := json.Marshal(plain)
-	rb, _ := json.Marshal(fromCells)
-	if string(pb) != string(rb) {
-		t.Fatalf("replayed polgrid report diverged:\n%s\nvs\n%s", rb, pb)
-	}
+	checkReplay(t, fn, base, sunk.arts)
 }

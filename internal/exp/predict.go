@@ -38,7 +38,7 @@ func PredictKeys(id string, o Options, lo, hi int) ([]string, error) {
 	// source, no sink, serial walk (probing is microseconds per cell).
 	o.Hooks = Hooks{}
 	o.Parallelism = 1
-	o.Memo, o.CellSource, o.CellSink = nil, nil, nil
+	o.Memo, o.CellSink = nil, nil
 	o.KeyProbe = func(key string) {
 		mu.Lock()
 		if !seen[key] {

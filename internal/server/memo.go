@@ -49,14 +49,11 @@ const maxMemoKeyBytes = 2048
 // request is cut off while it is read instead of after it is decoded.
 const maxMemoFetchBody = MaxMemoFetchKeys * maxMemoKeyBytes
 
-// handleMemoKeys serves GET /v1/memo/keys. A daemon without a memo
-// answers an empty digest, not an error: to the exchange protocol it is
-// simply a peer with nothing warm.
+// handleMemoKeys serves GET /v1/memo/keys. A cold daemon answers an
+// empty digest, not an error: to the exchange protocol it is simply a
+// peer with nothing warm.
 func (s *Server) handleMemoKeys(w http.ResponseWriter, r *http.Request) {
-	keys := s.cfg.Memo.Keys() // nil-safe
-	if keys == nil {
-		keys = []string{}
-	}
+	keys := s.cfg.Memo.Keys()
 	writeJSON(w, http.StatusOK, MemoKeysView{Count: len(keys), Keys: keys})
 }
 
@@ -78,10 +75,7 @@ func (s *Server) handleMemoFetch(w http.ResponseWriter, r *http.Request) {
 		// dump the whole memo past the key bound.
 		req.Keys = []string{}
 	}
-	entries := s.cfg.Memo.Export(req.Keys) // nil-safe
-	if entries == nil {
-		entries = []sweep.Entry{}
-	}
+	entries := s.cfg.Memo.Export(req.Keys)
 	writeJSON(w, http.StatusOK, MemoFetchResponse{Entries: entries})
 }
 

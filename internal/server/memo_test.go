@@ -111,30 +111,6 @@ func TestMemoExchangeEndpoints(t *testing.T) {
 	}
 }
 
-// TestMemoEndpointsWithoutMemo: a daemon with memoization disabled is a
-// protocol-valid cold peer, not an error source.
-func TestMemoEndpointsWithoutMemo(t *testing.T) {
-	s, err := Open(Config{Workers: 1, QueueDepth: 4, MemoEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdownServer(t, s)
-	if s.Memo() != nil {
-		t.Fatal("MemoEntries < 0 still built a memo")
-	}
-	h := s.Handler()
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/memo/keys", nil))
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), `"count": 0`) {
-		t.Fatalf("cold digest = %d: %s", rr.Code, rr.Body.String())
-	}
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/memo/entries", strings.NewReader(`{"keys":["timing|x"]}`)))
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), `"entries": []`) {
-		t.Fatalf("cold fetch = %d: %s", rr.Code, rr.Body.String())
-	}
-}
-
 func metricsText(s *Server) string {
 	rr := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))

@@ -51,20 +51,18 @@ func (s *Server) renderMetrics() string {
 		metrics.V(float64(st.recovered)))
 	e.Add("greendimm_cells_resumed_total", "counter", "Journaled sweep cells replayed instead of re-simulated (succeeded jobs).",
 		metrics.V(float64(st.resumedCells)))
-	if st.hasMemo {
-		e.Add("greendimm_memo_entries", "gauge", "Baseline-cell memo entries currently resident.",
-			metrics.V(float64(st.memoEntries)))
-		e.Add("greendimm_memo_hits_total", "counter", "Memoized cell lookups served without recomputing.",
-			metrics.V(float64(st.memoHits)))
-		e.Add("greendimm_memo_computes_total", "counter", "Memo entries settled by running their compute function.",
-			metrics.V(float64(st.memoComputes)))
-		e.Add("greendimm_memo_evictions_total", "counter", "Settled memo entries dropped by the LRU bound.",
-			metrics.V(float64(st.memoEvictions)))
-		e.Add("greendimm_memo_imports_total", "counter", "Memo entries installed from the job journal or peers.",
-			metrics.V(float64(st.memoImports)))
-		e.Add("greendimm_memo_peer_fetch_total", "counter", "Memo entries pulled from warm cluster peers.",
-			metrics.V(float64(st.memoPeerFetch)))
-	}
+	e.Add("greendimm_memo_entries", "gauge", "Baseline-cell memo entries currently resident.",
+		metrics.V(float64(st.memoEntries)))
+	e.Add("greendimm_memo_hits_total", "counter", "Memoized cell lookups served without recomputing.",
+		metrics.V(float64(st.memoHits)))
+	e.Add("greendimm_memo_computes_total", "counter", "Memo entries settled by running their compute function.",
+		metrics.V(float64(st.memoComputes)))
+	e.Add("greendimm_memo_evictions_total", "counter", "Settled memo entries dropped by the LRU bound.",
+		metrics.V(float64(st.memoEvictions)))
+	e.Add("greendimm_memo_imports_total", "counter", "Memo entries installed by import: journaled cells at boot, a resumed or merged job's replayed cells, and peer fetches.",
+		metrics.V(float64(st.memoImports)))
+	e.Add("greendimm_memo_peer_fetch_total", "counter", "Memo entries pulled from warm cluster peers.",
+		metrics.V(float64(st.memoPeerFetch)))
 	if st.store != nil {
 		e.Add("greendimm_store_specs", "gauge", "Job records retained in the durable store.",
 			metrics.V(float64(st.store.Specs)))

@@ -52,7 +52,7 @@ func TestRangeJobsReassembleFullReport(t *testing.T) {
 		arts = append(arts, res.Cells...)
 	}
 
-	got, err := Execute(fig8Quick(), RunHooks{Cells: exp.NewCellSet(arts)})
+	got, err := Execute(fig8Quick(), RunHooks{Cells: arts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +66,39 @@ func TestRangeJobsReassembleFullReport(t *testing.T) {
 	gb, _ := json.Marshal(got.Tables)
 	if string(wb) != string(gb) {
 		t.Fatal("tables diverged between full run and artifact replay")
+	}
+}
+
+// TestRangeResubmissionReturnsJournaledCells: a range job's result is
+// the artifacts its run offers to the sink. A resubmission that misses
+// the result cache resumes from the journal, whose cells replay through
+// the memo and still reach the sink, so it returns the same artifacts
+// byte for byte, not an empty set.
+func TestRangeResubmissionReturnsJournaledCells(t *testing.T) {
+	s, err := Open(Config{Workers: 1, QueueDepth: 4, CacheEntries: 1, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s)
+	spec := fig8Quick()
+	spec.Cells = &CellRangeSpec{Lo: 0, Hi: 3}
+	first := runToSuccess(t, s, spec)
+	if len(first.Result.Cells) != 3 {
+		t.Fatalf("first run returned %d artifacts, want 3", len(first.Result.Cells))
+	}
+	// Another job takes the one cache slot, so the resubmission runs.
+	runToSuccess(t, s, quickSpec("tab3", 0))
+	again := runToSuccess(t, s, spec)
+	if again.Cached {
+		t.Fatal("resubmission was a cache hit; the other job did not evict it")
+	}
+	if again.ResumedCells != 3 {
+		t.Fatalf("resubmission resumed %d journaled cells, want 3", again.ResumedCells)
+	}
+	fb, _ := json.Marshal(first.Result.Cells)
+	ab, _ := json.Marshal(again.Result.Cells)
+	if string(ab) != string(fb) {
+		t.Fatalf("resubmission returned\n%s\nfirst run returned\n%s", ab, fb)
 	}
 }
 

@@ -96,6 +96,11 @@ func TestCrashRecoveryResumesFromJournaledCells(t *testing.T) {
 	if final.ResumedCells < 2 {
 		t.Fatalf("resumed_cells = %d, want >= 2 (journaled progress was %d)", final.ResumedCells, mid.Progress.CellsDone)
 	}
+	// The journaled cells replay through the memo; only the rest of the
+	// 12-cell sweep is simulated.
+	if computed, rest := s2.Memo().Computes(), int64(12-final.ResumedCells); computed != rest {
+		t.Fatalf("recovered run computed %d memo cells, want 12 - %d resumed = %d", computed, final.ResumedCells, rest)
+	}
 	if final.Result == nil || final.Result.Text != want.Text {
 		t.Fatal("recovered report is not byte-identical to the uninterrupted run")
 	}
@@ -153,6 +158,7 @@ func TestCancelThenResubmitResumes(t *testing.T) {
 		t.Fatalf("canceled job = %s", v.State)
 	}
 
+	computed := s.Memo().Computes()
 	v2, err := s.Submit(fig8Slow())
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
@@ -166,6 +172,9 @@ func TestCancelThenResubmitResumes(t *testing.T) {
 	}
 	if final.ResumedCells < 2 {
 		t.Fatalf("resubmission resumed %d cells, want >= 2", final.ResumedCells)
+	}
+	if got, most := s.Memo().Computes()-computed, int64(12-final.ResumedCells); got > most {
+		t.Fatalf("resubmission computed %d memo cells, want at most 12 - %d resumed = %d", got, final.ResumedCells, most)
 	}
 	if final.Recovered {
 		t.Fatal("a live resubmission must not be flagged Recovered")

@@ -39,12 +39,13 @@ type Result struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// RunHooks carries one execution's cancellation and observability hooks
-// — the server's worker pool fills all three; library callers (the CLI,
-// the cluster's local fallback) pass what they need. Every field is
-// optional; the zero RunHooks runs uninstrumented and never stops. None
-// of them influence results: they gate whether a run proceeds and record
-// where its wall time went, nothing else.
+// RunHooks carries one execution's cancellation, observability and
+// replay hooks — the server's worker pool fills them; library callers
+// (the CLI, the cluster's local fallback and merge) pass what they
+// need. Every field is optional; the zero RunHooks runs uninstrumented,
+// replays nothing and never stops. None of them influence results: they
+// gate whether a run proceeds, what it need not recompute, and where
+// its wall time went, nothing else.
 type RunHooks struct {
 	// Stop (nil = never) is polled from the engines' event loops and
 	// between sweep cells; true aborts the run, whose partial result must
@@ -55,17 +56,18 @@ type RunHooks struct {
 	// Progress, when non-nil, is called after each sweep cell completes
 	// (serialized; see exp.Hooks.Progress).
 	Progress func(done, total int, cellSeconds float64)
-	// Cells, when non-nil, replays previously completed cell artifacts:
-	// memoized cells found in the set (verified byte-exact) are served
-	// without simulating. Execution knob — replay can only change how
-	// long a run takes, never its bytes. The daemon fills it from the
-	// job store on recovery/resume; the cluster merge fills it with the
-	// shards' collected artifacts.
-	Cells *exp.CellSet
+	// Cells lists previously completed cell artifacts to replay: runSpec
+	// imports them into the memo it runs against before the first cell
+	// (codec-verified byte-exact), so each replays as a memo hit.
+	// Execution knob — replay can only change how long a run takes, never
+	// its bytes. The daemon fills it from the job store on
+	// recovery/resume; the cluster merge adds the shards' artifacts.
+	Cells []exp.CellArtifact
 	// CellObserved, when non-nil, receives every cell artifact the run
-	// resolves by computing or by memo hit (replays from Cells are not
-	// re-offered). Called from concurrent sweep cells — must be safe for
-	// concurrent use. The daemon journals these to the job store.
+	// resolves, computed or memo hit, replays included (the job store
+	// skips keys a record already holds). Called from concurrent sweep
+	// cells — must be safe for concurrent use. The daemon journals these
+	// to the job store.
 	CellObserved func(exp.CellArtifact)
 	// Ranges carries the shard-execution transport between the daemon
 	// and the cluster's shard runner. runSpec itself ignores it: range
@@ -98,27 +100,29 @@ func (h RunHooks) stop() func() bool {
 }
 
 // Execute runs one job spec in-process, outside any worker pool: it
-// normalizes the spec and executes it serially with no sweep budget.
-// This is the cluster dispatcher's local-fallback path; because runSpec
-// is deterministic, the Result (minus WallSeconds, which Execute leaves
-// zero) is byte-identical to what any greendimmd backend returns for the
-// same spec.
+// normalizes the spec and executes it serially with no sweep budget,
+// against a fresh memo that h.Cells replay through. This is the
+// cluster dispatcher's local-fallback path; because runSpec is
+// deterministic, the Result (minus WallSeconds, which Execute leaves
+// zero) is byte-identical to what any greendimmd backend returns for
+// the same spec.
 func Execute(spec JobSpec, h RunHooks) (*Result, error) {
 	norm, err := spec.normalized()
 	if err != nil {
 		return nil, &InvalidSpecError{Err: err}
 	}
-	return runSpec(norm, h, nil, nil)
+	return runSpec(norm, h, nil, Config{}.NewMemo())
 }
 
 // runSpec executes a normalized spec under h's hooks. limiter (nil =
 // unbounded) gates any extra sweep workers the job's parallelism
 // requests, so per-job fan-out and the worker pool share one CPU
-// budget. memo (nil = none) caches baseline cells across the jobs that
-// share it — the daemon installs one server-wide memo so, e.g., fig12
-// and fig13 jobs compute their common traced day once. Deterministic:
-// the same spec always yields the same Tables, Series, VMDay and Text,
-// at every parallelism, under any hooks, with or without a memo.
+// budget. memo caches baseline cells across the jobs that share it —
+// the daemon installs one server-wide memo so, e.g., fig12 and fig13
+// jobs compute their common traced day once — and h.Cells replay
+// through it. Deterministic: the same spec always yields the same
+// Tables, Series, VMDay and Text, at every parallelism, under any
+// hooks, whatever the memo holds.
 func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo) (*Result, error) {
 	// Observe is called from concurrent sweep cells when parallelism > 1.
 	var mu sync.Mutex
@@ -151,8 +155,8 @@ func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo)
 			Parallelism: parallelism,
 			Hooks:       hooks,
 			Memo:        memo,
-			CellSource:  h.Cells,
 		}
+		importCells(memo, h.Cells)
 		// Collect artifacts when anyone wants them: a range job returns
 		// them as its result; a full job with CellObserved journals them.
 		var cellMu sync.Mutex
@@ -161,7 +165,6 @@ func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo)
 		if isRange || h.CellObserved != nil {
 			observe := h.CellObserved
 			opts.CellSink = func(a exp.CellArtifact) {
-				a = a.Compact()
 				if observe != nil {
 					observe(a)
 				}
@@ -213,6 +216,17 @@ func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo)
 	}
 	res.Text = renderText(res.Tables, res.Series)
 	return res, nil
+}
+
+// importCells installs cell artifacts in memo, each verified by its
+// codec, so a run against memo replays them as memo hits, and reports
+// how many it installed.
+func importCells(memo *sweep.Memo, cells []exp.CellArtifact) int {
+	entries := make([]sweep.Entry, len(cells))
+	for i, c := range cells {
+		entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: c.Key, Value: c.Value}
+	}
+	return memo.Import(entries)
 }
 
 // sortCells canonicalizes a range run's collected artifacts: sorted by

@@ -96,7 +96,10 @@ type Config struct {
 	// MemoEntries bounds the server-wide baseline-cell memo (default
 	// 512 entries, LRU) that lets concurrent or successive jobs share
 	// identical sweep cells (e.g. fig12 and fig13's common traced day).
-	// Negative disables memoization entirely.
+	// It is also the only way a resumed or merged job replays its
+	// completed cells (RunHooks.Cells); a job replays at most 45 keys
+	// (the Figs. 9-11 energy matrix), so a smaller memo recomputes the
+	// overflow: slower, same bytes.
 	MemoEntries int
 
 	// Memo, when non-nil, is the shared baseline-cell memo itself —
@@ -161,17 +164,13 @@ func (c Config) resolved() Config {
 	return c
 }
 
-// NewMemo builds the baseline-cell memo this config implies: nil when
-// MemoEntries is negative (memoization disabled), otherwise an
-// LRU-bounded memo with the experiment layer's entry codec installed.
-// cmd/greendimmd calls this once and sets Config.Memo so the server,
-// the shard runner and the cluster's warm-peer exchange all share one
-// instance.
+// NewMemo builds the baseline-cell memo this config implies: an
+// LRU-bounded memo of MemoEntries entries with the experiment layer's
+// entry codec installed. cmd/greendimmd calls this once and sets
+// Config.Memo so the server, the shard runner and the cluster's
+// warm-peer exchange all share one instance.
 func (c Config) NewMemo() *sweep.Memo {
 	c = c.filled()
-	if c.MemoEntries <= 0 {
-		return nil
-	}
 	m := sweep.NewMemo(c.MemoEntries)
 	m.SetCodec(exp.MemoCodec())
 	return m
@@ -200,7 +199,7 @@ func (c Config) filled() Config {
 	if c.CPUBudget <= 0 {
 		c.CPUBudget = runtime.GOMAXPROCS(0)
 	}
-	if c.MemoEntries == 0 {
+	if c.MemoEntries <= 0 {
 		c.MemoEntries = 512
 	}
 	return c
@@ -252,8 +251,8 @@ type job struct {
 	cellsTotal atomic.Int64
 
 	// recovered marks a job re-enqueued from the durable store at boot;
-	// resumedCells counts journaled artifacts handed to its run as a
-	// replay source (atomic: written by runJob outside mu).
+	// resumedCells counts journaled artifacts handed to its run to
+	// replay (atomic: written by runJob outside mu).
 	recovered    bool
 	resumedCells atomic.Int64
 
@@ -682,21 +681,16 @@ func (s *Server) execute(ctx context.Context, j *job, runner func(JobSpec, RunHo
 		},
 	}
 	if s.store != nil && !j.placed { // a placed job's cells live on the peer
-		// Resume state: journaled cells replay instead of re-simulating
-		// (verified byte-exact in exp), completed ranges steer the shard
-		// planner past finished work, and fresh cells/ranges journal as
-		// they land. The store serializes its own writes; CellObserved
-		// arrives from concurrent sweep cells.
+		// Resume state: journaled cells replay through the memo instead
+		// of re-simulating (codec-verified byte-exact), completed ranges
+		// steer the shard planner past finished work, and cells and
+		// ranges journal as they land; PutCell skips the cells the record
+		// already holds. The store serializes its own writes;
+		// CellObserved arrives from concurrent sweep cells.
 		hash := j.hash
 		cells, doneRanges := s.store.Resume(hash)
-		if len(cells) > 0 {
-			arts := make([]exp.CellArtifact, len(cells))
-			for i, c := range cells {
-				arts[i] = exp.CellArtifact{Key: c.Key, Value: c.Value}
-			}
-			h.Cells = exp.NewCellSet(arts)
-			j.resumedCells.Store(int64(len(cells)))
-		}
+		h.Cells = artifacts(cells)
+		j.resumedCells.Store(int64(len(cells)))
 		h.CellObserved = func(a exp.CellArtifact) {
 			if err := s.store.PutCell(hash, a.Key, a.Value); err != nil {
 				s.storeErrs.Add(1)
@@ -966,17 +960,16 @@ func (s *Server) Wait(ctx context.Context, id string) (JobView, error) {
 // with ErrQueueFull should wait before resubmitting: the p90 of
 // executed-job wall time (a queue slot frees roughly once per job, and
 // the tail — not the mean — is what keeps slots occupied), clamped to
-// [1, 60]. Before any job has executed it returns 1.
+// [1, MaxRetryAfterS]. Before any job has executed it returns 1.
 func (s *Server) RetryAfterHint() int {
 	hint := int(math.Ceil(s.histWall.Quantile(0.9)))
-	if hint < 1 {
-		hint = 1
-	}
-	if hint > 60 {
-		hint = 60
-	}
-	return hint
+	return min(max(hint, 1), MaxRetryAfterS)
 }
+
+// MaxRetryAfterS bounds, in seconds, the retry hint a daemon sends with
+// a 429 (RetryAfterHint) and the hint a cluster client honors from a
+// peer.
+const MaxRetryAfterS = 60
 
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool {
@@ -1030,9 +1023,9 @@ func (s *Server) closeStore() {
 	}
 }
 
-// Memo returns the server's shared baseline-cell memo (nil when
-// memoization is disabled) — the instance the memo-exchange endpoints
-// serve and the cluster's warm machinery scores against.
+// Memo returns the server's shared baseline-cell memo — the instance
+// the memo-exchange endpoints serve and the cluster's warm machinery
+// scores against.
 func (s *Server) Memo() *sweep.Memo { return s.cfg.Memo }
 
 // MemoImported reports how many journaled cells the boot import
@@ -1044,18 +1037,18 @@ func (s *Server) MemoImported() int64 { return s.memoImported }
 // reports how many it installed. Import codec-verifies each cell, so a
 // stale or corrupt one degrades to recomputation. The journal keys
 // cells by fingerprint alone, so the memo is warm for any spec that
-// shares a cell, not only the spec that journaled it. A nil m installs
-// nothing.
+// shares a cell, not only the spec that journaled it.
 func WarmMemo(m *sweep.Memo, st *store.Store) int {
-	if m == nil {
-		return 0
-	}
-	cells := st.Cells()
-	entries := make([]sweep.Entry, len(cells))
+	return importCells(m, artifacts(st.Cells()))
+}
+
+// artifacts converts journaled cells to the artifacts a run replays.
+func artifacts(cells []store.Cell) []exp.CellArtifact {
+	out := make([]exp.CellArtifact, len(cells))
 	for i, c := range cells {
-		entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: c.Key, Value: c.Value}
+		out[i] = exp.CellArtifact(c)
 	}
-	return m.Import(entries)
+	return out
 }
 
 // NotePeerMemoFetch records n memo entries pulled from warm cluster
@@ -1080,14 +1073,13 @@ type stats struct {
 	// Durable-store accounting (store nil when disabled).
 	store     *store.Stats
 	storeErrs int64
-	// Baseline-cell memo accounting (memo nil when disabled).
+	// Baseline-cell memo accounting.
 	memoEntries   int
 	memoHits      int64
 	memoComputes  int64
 	memoEvictions int64
 	memoImports   int64
 	memoPeerFetch int64
-	hasMemo       bool
 }
 
 func (s *Server) snapshot() stats {
@@ -1119,14 +1111,12 @@ func (s *Server) snapshot() stats {
 		st.store = &ss
 	}
 	st.storeErrs = s.storeErrs.Load()
-	if m := s.cfg.Memo; m != nil {
-		st.hasMemo = true
-		st.memoEntries = m.Len()
-		st.memoHits = m.Hits()
-		st.memoComputes = m.Computes()
-		st.memoEvictions = m.Evictions()
-		st.memoImports = m.Imports()
-	}
+	m := s.cfg.Memo
+	st.memoEntries = m.Len()
+	st.memoHits = m.Hits()
+	st.memoComputes = m.Computes()
+	st.memoEvictions = m.Evictions()
+	st.memoImports = m.Imports()
 	st.memoPeerFetch = s.memoPeerFetch.Load()
 	return st
 }

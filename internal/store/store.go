@@ -21,8 +21,8 @@
 // The store knows nothing about specs or simulation: specs are opaque
 // JSON, cells are opaque (key, JSON value) pairs whose keys are the
 // experiment layer's memo fingerprints. Verification that a replayed
-// cell is byte-exact happens above (exp.CellSet, sweep.Memo.Import), not
-// here.
+// cell is byte-exact happens above, where sweep.Memo.Import runs it
+// through exp.MemoCodec, not here.
 package store
 
 import (

@@ -38,7 +38,8 @@ import (
 // serializable: Export renders them as versioned Entry records, Import
 // replays such records (verified by the codec) into warm entries, and
 // Keys digests the exportable residents — the building blocks of the
-// durable memo store and the cluster's warm-peer exchange.
+// daemon's warm boot from its job journal, of replaying a resumed or
+// merged job's cells, and of the cluster's warm-peer exchange.
 type Memo struct {
 	mu        sync.Mutex
 	cap       int
@@ -251,13 +252,14 @@ func (m *Memo) Export(keys []string) []Entry {
 	return out
 }
 
-// Import replays exported entries into warm, settled residents,
-// returning how many were installed. Each entry is verified by the
-// codec before it is trusted (strict decode, round-trip exact); entries
-// from other format versions, unknown key families, or failing
-// verification are skipped — a bad import degrades to recomputation.
-// Keys already resident (settled or in flight) are left alone: a local
-// computation in progress beats a replay.
+// Import replays exported entries into warm, settled residents at the
+// front of the LRU, returning how many were installed. Each entry is
+// verified by the codec before it is trusted (strict decode, round-trip
+// exact); entries from other format versions, unknown key families, or
+// failing verification are skipped — a bad import degrades to
+// recomputation. Keys already resident (settled or in flight) are left
+// alone, and skipped before they are decoded: a local computation in
+// progress beats a replay.
 func (m *Memo) Import(entries []Entry) int {
 	if m == nil || len(entries) == 0 {
 		return 0
@@ -270,13 +272,15 @@ func (m *Memo) Import(entries []Entry) int {
 	}
 	installed := 0
 	for _, ent := range entries {
-		if ent.V != EntryVersion || !codec.Exportable(ent.Key) {
+		if ent.V != EntryVersion || !codec.Exportable(ent.Key) || m.resident(ent.Key) {
 			continue
 		}
 		val, ok := codec.Decode(ent.Key, ent.Value)
 		if !ok {
 			continue
 		}
+		// Decoding ran unlocked, so check residency again: a compute or
+		// another import may have claimed the key meanwhile.
 		m.mu.Lock()
 		if _, exists := m.entries[ent.Key]; !exists {
 			e := &memoEntry{key: ent.Key, val: val, settled: true}
@@ -290,6 +294,14 @@ func (m *Memo) Import(entries []Entry) int {
 		m.mu.Unlock()
 	}
 	return installed
+}
+
+// resident reports whether key has an entry, settled or in flight.
+func (m *Memo) resident(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.entries[key]
+	return ok
 }
 
 // Len reports the number of resident entries (including in-flight ones).

@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -117,6 +120,73 @@ func TestMemoImportKeepsResident(t *testing.T) {
 	v, err := m.Do("t|a", func() (any, error) { return -1, nil })
 	if err != nil || v.(int) != 7 {
 		t.Fatalf("resident value overwritten: got %v, want 7", v)
+	}
+}
+
+// countingCodec counts Decode calls, so a test can see which imported
+// entries were decoded.
+type countingCodec struct {
+	testCodec
+	decodes atomic.Int64
+}
+
+func (c *countingCodec) Decode(key string, raw json.RawMessage) (any, bool) {
+	c.decodes.Add(1)
+	return c.testCodec.Decode(key, raw)
+}
+
+// TestMemoImportSkipsResidentBeforeDecoding: a replaying job imports
+// cells the memo often holds already (the boot warm-up or the job's
+// first run left them resident). Those entries must not be decoded, and
+// Imports() counts only the new ones.
+func TestMemoImportSkipsResidentBeforeDecoding(t *testing.T) {
+	codec := &countingCodec{}
+	m := NewMemo(0)
+	m.SetCodec(codec)
+	fill(t, m, map[string]int{"t|a": 1})
+	entries := []Entry{
+		{V: EntryVersion, Key: "t|b", Value: json.RawMessage(`2`)},
+		{V: EntryVersion, Key: "t|c", Value: json.RawMessage(`3`)},
+	}
+	if n := m.Import(entries); n != 2 || codec.decodes.Load() != 2 {
+		t.Fatalf("first import installed %d with %d decodes, want 2 and 2", n, codec.decodes.Load())
+	}
+	imports := m.Imports()
+	resident := append(entries, Entry{V: EntryVersion, Key: "t|a", Value: json.RawMessage(`1`)})
+	if n := m.Import(resident); n != 0 {
+		t.Fatalf("importing resident keys installed %d, want 0", n)
+	}
+	if d := codec.decodes.Load(); d != 2 {
+		t.Fatalf("importing resident keys decoded %d entries, want none", d-2)
+	}
+	if m.Imports() != imports {
+		t.Fatalf("Imports() = %d after importing resident keys, want %d", m.Imports(), imports)
+	}
+}
+
+// TestMemoImportConcurrent: goroutines importing overlapping entries,
+// each a job replaying its cells, install every key exactly once.
+func TestMemoImportConcurrent(t *testing.T) {
+	m := NewMemo(0)
+	m.SetCodec(testCodec{})
+	entries := make([]Entry, 32)
+	for i := range entries {
+		entries[i] = Entry{V: EntryVersion, Key: fmt.Sprintf("t|%d", i), Value: json.RawMessage(fmt.Sprint(i))}
+	}
+	var wg sync.WaitGroup
+	var installed atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine starts at a different entry, so imports of
+			// one key race.
+			installed.Add(int64(m.Import(append(entries[g*4:], entries[:g*4]...))))
+		}(g)
+	}
+	wg.Wait()
+	if n := installed.Load(); n != int64(len(entries)) || m.Imports() != n || m.Len() != len(entries) {
+		t.Fatalf("installed %d, Imports() %d, Len %d; want each of %d keys once", n, m.Imports(), m.Len(), len(entries))
 	}
 }
 

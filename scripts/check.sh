@@ -36,17 +36,20 @@ echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug
 # these same tests also run race-instrumented in the repo-wide pass below.
 go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/ ./internal/cluster/ ./internal/metrics/
 
-echo "==> fuzz engine tie-break and journal snapshot restore (10s each)"
+echo "==> fuzz engine tie-break, journal snapshot restore and peer responses (10s each)"
 # The engine's equal-time ordering and its reserved-key answers (Passed,
 # BornAfter), which the controller's closed-form idle descent relies on,
 # checked against a twin engine on fuzzed schedules beyond the seeds.
 # Then the job journal's snapshot restore, on arbitrary bytes: the
 # snapshot is the daemon's only durable state and the source of its warm
-# memo at boot. Minimization is bounded: at Go's default (60 s per new
-# input, not counted in -fuzztime) the first new input stalls the whole
-# window.
+# memo at boot. Then cluster.Client's decoding of a peer's status,
+# Retry-After hint and body, which carry shard artifacts and memo
+# entries between daemons. Minimization is bounded: at Go's default
+# (60 s per new input, not counted in -fuzztime) the first new input
+# stalls the whole window.
 go test -run '^$' -fuzz FuzzEngineTieBreak -fuzztime 10s -fuzzminimizetime 10x ./internal/sim/
 go test -run '^$' -fuzz FuzzSnapshotRestore -fuzztime 10s -fuzzminimizetime 10x ./internal/store/
+go test -run '^$' -fuzz FuzzClientResponse -fuzztime 10s -fuzzminimizetime 10x ./internal/cluster/
 
 echo "==> layer and figure benchmarks, one iteration each"
 # Nothing else runs the Benchmark* functions, so one that panics or calls
