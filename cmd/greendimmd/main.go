@@ -30,10 +30,9 @@
 // energy matrix), so a memo smaller than that recomputes the overflow,
 // slower but with the same bytes. A `greendimm -memo-dir` directory is
 // a valid -store-dir, and a <dir>/memo/ subdirectory left by earlier
-// builds is ignored.
-// Daemons expose the memo to peers (GET /v1/memo/keys,
-// POST /v1/memo/entries); a sharding daemon scores backends by
-// warm-key overlap and places each shard where its cells already live.
+// builds is ignored. Shards place by load, on the peer with the fewest
+// outstanding jobs; cells cross daemons only inside a shard's result,
+// and a shard no peer completes runs here, against this memo.
 package main
 
 import (
@@ -91,10 +90,9 @@ func main() {
 		StoreDir:       *storeDir,
 		MemoEntries:    *memoSize,
 	}
-	// One memo instance shared by the server, the shard runner's merge
-	// executor, and the cluster's warm-peer exchange: build it here so
-	// every layer sees the same entries (and the boot import from the
-	// -store-dir journal warms all of them).
+	// One memo instance shared by the server and the shard runner's
+	// executor: build it here so both see the same entries (and the boot
+	// import from the -store-dir journal warms both).
 	cfg.Memo = cfg.NewMemo()
 	if *policyFile != "" {
 		pc, err := server.LoadPolicyConfig(*policyFile)
@@ -111,7 +109,6 @@ func main() {
 	// Under -peers, one pool, one dispatcher and one counter set serve
 	// both queue overflow and -shard-cells. They are built before the
 	// server so their hooks go into its config.
-	var warm *cluster.Warm
 	if *peers != "" {
 		var urls []string
 		for _, u := range strings.Split(*peers, ",") {
@@ -127,17 +124,13 @@ func main() {
 		cfg.Overflow = d.Overflow
 		log.Printf("placing queue overflow on %d peers", len(urls))
 		if *shardCells > 0 {
-			// Shards dispatch through the failover ladder; whole jobs and
-			// the shard merge run through the config's own runner (shared
-			// limiter + memo), so local work stays inside one CPU budget.
-			// Warm-aware placement: shards route to the peer already
-			// holding their baseline cells, and missing entries are
-			// prefetched into this node's memo before the merge.
-			warm = cluster.NewWarm(pool, cfg.Memo, cluster.WarmOptions{Counters: ctr})
+			// Shards dispatch through the failover ladder; whole jobs, the
+			// shard merge and any shard no peer completes run through the
+			// config's own runner (shared limiter + memo), so local work
+			// stays inside one CPU budget.
 			sr, err := cluster.NewShardRunner(d, cluster.ShardOptions{
 				CellsPerShard: *shardCells,
 				Exec:          cfg.BaseRunner(),
-				Warm:          warm,
 			})
 			if err != nil {
 				log.Fatalf("shard runner: %v", err)
@@ -152,9 +145,6 @@ func main() {
 	srv, err := server.Open(cfg)
 	if err != nil {
 		log.Fatalf("starting server: %v", err)
-	}
-	if warm != nil {
-		warm.SetOnFetch(func(n int) { srv.NotePeerMemoFetch(int64(n)) })
 	}
 	if n := srv.MemoImported(); n > 0 {
 		log.Printf("memo: booted warm with %d journaled cells", n)

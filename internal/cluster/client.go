@@ -15,7 +15,6 @@ import (
 
 	"greendimm/internal/obs"
 	"greendimm/internal/server"
-	"greendimm/internal/sweep"
 )
 
 // RetryPolicy caps the backoff loop around one logical API call. Delays
@@ -226,39 +225,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (server.JobView, error) 
 	return v, err
 }
 
-// MemoKeys fetches the backend's warm memo-key digest, with one attempt
-// and no retries: the digest is an optimization input, refreshed on a
-// short TTL by the Warm cache, and a failed fetch just reads as a cold
-// peer.
-func (c *Client) MemoKeys(ctx context.Context) ([]string, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-	defer cancel()
-	var v server.MemoKeysView
-	if err := c.do(actx, http.MethodGet, "/v1/memo/keys", nil, &v, maxMemoKeysBody); err != nil {
-		return nil, err
-	}
-	return v.Keys, nil
-}
-
-// MemoFetch pulls the named memo entries from the backend, one attempt,
-// no retries (a failed prefetch degrades to computing locally). The
-// response omits keys the peer does not hold; entries are NOT verified
-// here — sweep.Memo.Import runs each through the codec before trusting
-// it.
-func (c *Client) MemoFetch(ctx context.Context, keys []string) ([]sweep.Entry, error) {
-	body, err := json.Marshal(server.MemoFetchRequest{Keys: keys})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding memo fetch: %w", err)
-	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-	defer cancel()
-	var v server.MemoFetchResponse
-	if err := c.do(actx, http.MethodPost, "/v1/memo/entries", body, &v, maxMemoEntriesBody); err != nil {
-		return nil, err
-	}
-	return v.Entries, nil
-}
-
 // Healthz probes the backend once, with no retries — the Pool's
 // scoreboard is the retry layer for health.
 func (c *Client) Healthz(ctx context.Context) error {
@@ -337,16 +303,6 @@ const (
 	// make an 11.1 MB view; a full-scale range job's cell artifacts stay
 	// under 0.25 MB.
 	maxJobBody = 32 << 20
-	// maxMemoKeysBody bounds a warm-key digest at the server's bound on
-	// a fetch request for those keys: server.MaxMemoFetchKeys keys of up
-	// to 2 KiB (they average under 0.5 KB). A larger digest reads as a
-	// cold peer.
-	maxMemoKeysBody = 8 << 20
-	// maxMemoEntriesBody bounds a memo-entries response at
-	// server.MaxMemoFetchKeys entries of 8 KiB. Every entry but a
-	// VM-trace day is under 6 KB; a full-scale day is 66 KB, and one
-	// spec's prefetch, at most 30 keys, is at most 144 KB.
-	maxMemoEntriesBody = 32 << 20
 )
 
 // do performs one HTTP round trip and decodes the JSON response into out

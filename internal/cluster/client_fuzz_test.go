@@ -43,30 +43,19 @@ func (zeros) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// clientCalls are the response decoders the fuzz target drives, each
-// with the body bound of its endpoint.
-var clientCalls = []struct {
-	name  string
-	limit int
-	call  func(context.Context, *Client) error
-}{
-	{"Get", maxJobBody, func(ctx context.Context, c *Client) error { _, err := c.Get(ctx, "j000001"); return err }},
-	{"MemoKeys", maxMemoKeysBody, func(ctx context.Context, c *Client) error { _, err := c.MemoKeys(ctx); return err }},
-	{"MemoFetch", maxMemoEntriesBody, func(ctx context.Context, c *Client) error { _, err := c.MemoFetch(ctx, []string{"k"}); return err }},
-}
-
 // FuzzClientResponse serves a fuzzed status, Retry-After header and body
-// to one-attempt client calls, one per endpoint bound (sel picks the
-// call; sel&4 pads the body one byte past the call's bound). No call
-// panics; every non-2xx reply is a *StatusError whose retry hint lies in
-// [0, server.MaxRetryAfterS] seconds, the range a daemon sends, so a
-// peer cannot make the client sleep longer; and a body past its bound is
-// an error even when a complete JSON value fits inside it.
+// to a one-attempt Get, the call that decodes a peer's job view and with
+// it a range job's cell artifacts (sel&4 pads the body one byte past the
+// job-view bound). Get never panics; every non-2xx reply is a
+// *StatusError whose retry hint lies in [0, server.MaxRetryAfterS]
+// seconds, the range a daemon sends, so a peer cannot make the client
+// sleep longer; and a body past its bound is an error even when a
+// complete JSON value fits inside it.
 func FuzzClientResponse(f *testing.F) {
 	f.Add(uint16(200), "", []byte(`{"id":"j000001","spec_hash":"h","state":"succeeded"}`), uint8(0))
-	f.Add(uint16(200), "", []byte(`{"count":1,"keys":["timing|x"]}`), uint8(1))
-	f.Add(uint16(200), "", []byte(`{"entries":[{"v":1,"key":"timing|x","value":{"a":1}}]}`), uint8(2))
-	f.Add(uint16(200), "", []byte(`{"count":0,"keys":[]}`), uint8(5))
+	f.Add(uint16(200), "", []byte(`{"id":"j000001","state":"succeeded","result":{"cells":[{"key":"timing|x","value":{"a":1}}]}}`), uint8(1))
+	f.Add(uint16(200), "", []byte(`{"id":"j000001","state":"failed","error":"boom"}`), uint8(2))
+	f.Add(uint16(200), "", []byte(`{"id":"j000001","state":"succeeded","result":{"cells":[]}}`), uint8(5))
 	f.Add(uint16(202), "", []byte(`{"id":"j000001"}`), uint8(4))
 	f.Add(uint16(429), "3600", []byte(`{"error":{"code":"queue_full","message":"full","retry_after_s":5}}`), uint8(0))
 	f.Add(uint16(429), "99999999999", []byte(`{"error":{"code":"queue_full","message":"full","retry_after_s":99999999999}}`), uint8(1))
@@ -75,7 +64,6 @@ func FuzzClientResponse(f *testing.F) {
 	f.Add(uint16(500), "", []byte(`not json`), uint8(0))
 
 	f.Fuzz(func(t *testing.T, status uint16, retryAfter string, body []byte, sel uint8) {
-		tc := clientCalls[int(sel)%len(clientCalls)]
 		code := int(status)
 		if code < 100 || code > 599 {
 			code = 100 + code%500
@@ -83,26 +71,26 @@ func FuzzClientResponse(f *testing.F) {
 		tr := &cannedTransport{status: code, retryAfter: retryAfter, body: body}
 		padded := sel&4 != 0
 		if padded {
-			tr.pad = max(int64(tc.limit)+1-int64(len(body)), 0)
+			tr.pad = max(int64(maxJobBody)+1-int64(len(body)), 0)
 		}
 		c := NewClient("http://peer.invalid", ClientConfig{
 			HTTP:  &http.Client{Transport: tr},
 			Retry: RetryPolicy{MaxAttempts: 1},
 		})
-		err := tc.call(context.Background(), c)
+		_, err := c.Get(context.Background(), "j000001")
 
 		if tr.status < 200 || tr.status > 299 {
 			var se *StatusError
 			if !errors.As(err, &se) {
-				t.Fatalf("%s: status %d returned %v, want a *StatusError", tc.name, tr.status, err)
+				t.Fatalf("status %d returned %v, want a *StatusError", tr.status, err)
 			}
 			if se.RetryAfter < 0 || se.RetryAfter > server.MaxRetryAfterS*time.Second {
-				t.Fatalf("%s: retry hint %v outside [0, %ds] (header %q)", tc.name, se.RetryAfter, server.MaxRetryAfterS, retryAfter)
+				t.Fatalf("retry hint %v outside [0, %ds] (header %q)", se.RetryAfter, server.MaxRetryAfterS, retryAfter)
 			}
 			return
 		}
 		if padded && err == nil {
-			t.Fatalf("%s: a %d-byte body over the %d-byte bound decoded without error", tc.name, int64(len(body))+tr.pad, tc.limit)
+			t.Fatalf("a %d-byte body over the %d-byte bound decoded without error", int64(len(body))+tr.pad, maxJobBody)
 		}
 	})
 }

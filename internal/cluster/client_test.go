@@ -189,8 +189,6 @@ func TestClientRejectsOversizedBody(t *testing.T) {
 		call  func(c *Client) error
 	}{
 		{"job view", maxJobBody, func(c *Client) error { _, err := c.Get(ctx, "j000001"); return err }},
-		{"memo keys", maxMemoKeysBody, func(c *Client) error { _, err := c.MemoKeys(ctx); return err }},
-		{"memo entries", maxMemoEntriesBody, func(c *Client) error { _, err := c.MemoFetch(ctx, []string{"k"}); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -65,11 +65,6 @@ type Counters struct {
 	ShardJobs    atomic.Int64
 	Shards       atomic.Int64
 	ShardRetries atomic.Int64
-	// WarmPicks counts dispatches routed by warm-key overlap (a scored
-	// pick where some backend reported a positive overlap);
-	// PeerMemoEntries counts memo entries imported from warm peers.
-	WarmPicks       atomic.Int64
-	PeerMemoEntries atomic.Int64
 
 	// AttemptSeconds, when non-nil, observes the wall latency of every
 	// backend attempt the dispatcher makes — primaries, hedges, and
@@ -80,19 +75,17 @@ type Counters struct {
 
 // CounterSnapshot is one consistent read of a Counters.
 type CounterSnapshot struct {
-	Submitted       int64 `json:"submitted"`
-	Retries         int64 `json:"retries"`
-	Failovers       int64 `json:"failovers"`
-	Hedges          int64 `json:"hedges"`
-	HedgeWins       int64 `json:"hedge_wins"`
-	LocalRuns       int64 `json:"local_runs"`
-	Divergences     int64 `json:"divergences"`
-	ProxiedJobs     int64 `json:"proxied_jobs"`
-	ShardJobs       int64 `json:"shard_jobs,omitempty"`
-	Shards          int64 `json:"shards,omitempty"`
-	ShardRetries    int64 `json:"shard_retries,omitempty"`
-	WarmPicks       int64 `json:"warm_picks,omitempty"`
-	PeerMemoEntries int64 `json:"peer_memo_entries,omitempty"`
+	Submitted    int64 `json:"submitted"`
+	Retries      int64 `json:"retries"`
+	Failovers    int64 `json:"failovers"`
+	Hedges       int64 `json:"hedges"`
+	HedgeWins    int64 `json:"hedge_wins"`
+	LocalRuns    int64 `json:"local_runs"`
+	Divergences  int64 `json:"divergences"`
+	ProxiedJobs  int64 `json:"proxied_jobs"`
+	ShardJobs    int64 `json:"shard_jobs,omitempty"`
+	Shards       int64 `json:"shards,omitempty"`
+	ShardRetries int64 `json:"shard_retries,omitempty"`
 
 	// Attempt-latency summary from AttemptSeconds (zero when the
 	// histogram is unset or empty).
@@ -104,19 +97,17 @@ type CounterSnapshot struct {
 // Snapshot reads every counter.
 func (c *Counters) Snapshot() CounterSnapshot {
 	s := CounterSnapshot{
-		Submitted:       c.Submitted.Load(),
-		Retries:         c.Retries.Load(),
-		Failovers:       c.Failovers.Load(),
-		Hedges:          c.Hedges.Load(),
-		HedgeWins:       c.HedgeWins.Load(),
-		LocalRuns:       c.LocalRuns.Load(),
-		Divergences:     c.Divergences.Load(),
-		ProxiedJobs:     c.ProxiedJobs.Load(),
-		ShardJobs:       c.ShardJobs.Load(),
-		Shards:          c.Shards.Load(),
-		ShardRetries:    c.ShardRetries.Load(),
-		WarmPicks:       c.WarmPicks.Load(),
-		PeerMemoEntries: c.PeerMemoEntries.Load(),
+		Submitted:    c.Submitted.Load(),
+		Retries:      c.Retries.Load(),
+		Failovers:    c.Failovers.Load(),
+		Hedges:       c.Hedges.Load(),
+		HedgeWins:    c.HedgeWins.Load(),
+		LocalRuns:    c.LocalRuns.Load(),
+		Divergences:  c.Divergences.Load(),
+		ProxiedJobs:  c.ProxiedJobs.Load(),
+		ShardJobs:    c.ShardJobs.Load(),
+		Shards:       c.Shards.Load(),
+		ShardRetries: c.ShardRetries.Load(),
 	}
 	if h := c.AttemptSeconds; h.Count() > 0 {
 		s.AttemptCount = h.Count()

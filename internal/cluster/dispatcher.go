@@ -20,9 +20,6 @@ type Options struct {
 	// are deterministic — and checked: if both copies finish, their
 	// bytes must agree.
 	HedgeAfter time.Duration
-	// Local executes a spec in-process when no backend can (default
-	// server.Execute, aborting when ctx is done).
-	Local func(ctx context.Context, spec server.JobSpec) (*server.Result, error)
 	// Counters receives dispatch accounting (default: a fresh instance;
 	// pass the Pool's ClientConfig.Counters to unify retry counts).
 	Counters *Counters
@@ -44,20 +41,23 @@ type Dispatcher struct {
 
 // NewDispatcher builds a dispatcher over the pool.
 func NewDispatcher(pool *Pool, opts Options) *Dispatcher {
-	if opts.Local == nil {
-		opts.Local = func(ctx context.Context, spec server.JobSpec) (*server.Result, error) {
-			// The job's trace rides the context (runOne puts it there), so
-			// a traced dispatch gets per-cell spans from the local run too.
-			return server.Execute(spec, server.RunHooks{
-				Stop:  func() bool { return ctx.Err() != nil },
-				Trace: obs.FromContext(ctx),
-			})
-		}
-	}
 	if opts.Counters == nil {
 		opts.Counters = &Counters{}
 	}
 	return &Dispatcher{pool: pool, opts: opts, ctr: opts.Counters, concurrency: max(4, 2*pool.Size())}
+}
+
+// localRunner adapts an in-process execution function to the ladder's
+// last rung: the run stops once ctx is done, and records into the job's
+// trace, which rides the context (runOne puts it there), so a traced
+// dispatch gets per-cell spans from the local run too.
+func localRunner(exec func(server.JobSpec, server.RunHooks) (*server.Result, error)) func(context.Context, server.JobSpec) (*server.Result, error) {
+	return func(ctx context.Context, spec server.JobSpec) (*server.Result, error) {
+		return exec(spec, server.RunHooks{
+			Stop:  func() bool { return ctx.Err() != nil },
+			Trace: obs.FromContext(ctx),
+		})
+	}
 }
 
 // Counters returns a snapshot of the dispatcher's accounting.
@@ -97,6 +97,7 @@ func (d *Dispatcher) RunTraced(ctx context.Context, specs []server.JobSpec, trac
 
 	runCtx, cancelRest := context.WithCancel(ctx)
 	defer cancelRest()
+	local := localRunner(server.Execute)
 	results := make([]*server.Result, len(specs))
 	sources := make([]string, len(specs))
 	errs := make([]error, len(specs))
@@ -113,7 +114,7 @@ func (d *Dispatcher) RunTraced(ctx context.Context, specs []server.JobSpec, trac
 				errs[i] = runCtx.Err()
 				return
 			}
-			results[i], sources[i], errs[i] = d.runOne(runCtx, specs[i], hashes[i], traceFor(i))
+			results[i], sources[i], errs[i] = d.runOne(runCtx, specs[i], traceFor(i), local)
 			if errs[i] != nil {
 				cancelRest() // first failure stops the rest promptly
 			}
@@ -170,36 +171,21 @@ func (d *Dispatcher) RunTraced(ctx context.Context, specs []server.JobSpec, trac
 }
 
 // runOne pushes one spec through the routing ladder: healthy backends in
-// least-outstanding order (with optional hedging), then the in-process
-// fallback. The trace rides ctx from here down so the client's backoff
-// loop and the local fallback can record into it.
-func (d *Dispatcher) runOne(ctx context.Context, spec server.JobSpec, hash string, tr *obs.Trace) (*server.Result, string, error) {
-	return d.runOnePick(ctx, spec, hash, tr, nil)
-}
-
-// runOnePick is runOne with an optional placement score (Warm.Scorer):
-// non-nil, it biases every pick in the ladder — primary and hedge alike —
-// toward the backend holding the most of the spec's predicted memo keys,
-// with least-outstanding as the tie-break. Purely a routing preference:
-// the failover ladder, hedging and the local fallback are unchanged, and
-// a cold pick merely computes what a warm one would have replayed.
-func (d *Dispatcher) runOnePick(ctx context.Context, spec server.JobSpec, hash string, tr *obs.Trace, score func(url string) int) (*server.Result, string, error) {
+// least-outstanding order (with optional hedging), then local, the
+// in-process fallback: server.Execute for a dispatched job, the shard
+// runner's Exec for a shard. The trace rides ctx from here down so the
+// client's backoff loop and the local fallback can record into it.
+func (d *Dispatcher) runOne(ctx context.Context, spec server.JobSpec, tr *obs.Trace, local func(context.Context, server.JobSpec) (*server.Result, error)) (*server.Result, string, error) {
 	ctx = obs.ContextWith(ctx, tr)
-	pick := func(tried map[string]bool) *Lease {
-		if score != nil {
-			return d.pool.PickScored(tried, score)
-		}
-		return d.pool.Pick(tried)
-	}
 	tried := make(map[string]bool)
 	var lastErr error
 	for len(tried) < d.pool.Size() {
-		lease := pick(tried)
+		lease := d.pool.Pick(tried)
 		if lease == nil {
 			break
 		}
 		tried[lease.URL()] = true
-		res, src, err := d.runOn(ctx, lease, spec, tried, tr, pick)
+		res, src, err := d.runOn(ctx, lease, spec, tried, tr)
 		if err == nil {
 			return res, src, nil
 		}
@@ -213,7 +199,7 @@ func (d *Dispatcher) runOnePick(ctx context.Context, spec server.JobSpec, hash s
 
 	d.ctr.LocalRuns.Add(1)
 	sp := tr.Start("local")
-	res, err := d.opts.Local(ctx, spec)
+	res, err := local(ctx, spec)
 	sp.EndErr(err)
 	if err != nil {
 		if lastErr != nil {
@@ -245,11 +231,11 @@ func (a attempt) failure() error {
 }
 
 // runOn submits the spec to the leased backend and waits it out,
-// launching at most one hedge onto another backend (picked by pick,
-// recorded in tried) once HedgeAfter elapses. The first success wins;
-// the loser is cancelled, and if it had already finished, its bytes are
-// cross-checked against the winner's.
-func (d *Dispatcher) runOn(ctx context.Context, primary *Lease, spec server.JobSpec, tried map[string]bool, tr *obs.Trace, pick func(map[string]bool) *Lease) (*server.Result, string, error) {
+// launching at most one hedge onto another backend (the least-loaded
+// one not in tried, recorded there) once HedgeAfter elapses. The first
+// success wins; the loser is cancelled, and if it had already finished,
+// its bytes are cross-checked against the winner's.
+func (d *Dispatcher) runOn(ctx context.Context, primary *Lease, spec server.JobSpec, tried map[string]bool, tr *obs.Trace) (*server.Result, string, error) {
 	start := time.Now()
 	sp := tr.StartArg("attempt", primary.URL())
 	v, err := primary.Client().Submit(ctx, spec)
@@ -321,7 +307,7 @@ func (d *Dispatcher) runOn(ctx context.Context, primary *Lease, spec server.JobS
 			}
 		case <-hedgeFire:
 			hedgeFire = nil
-			hl := pick(tried)
+			hl := d.pool.Pick(tried)
 			if hl == nil {
 				continue // nobody to hedge onto; keep waiting on the primary
 			}

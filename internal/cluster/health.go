@@ -187,51 +187,6 @@ func (p *Pool) Pick(exclude map[string]bool) *Lease {
 	return &Lease{pool: p, b: best}
 }
 
-// PickScored leases like Pick, but prefers the healthy backend with the
-// highest score (a warm-key overlap count, from Warm.Scorer). Ties break
-// by fewest outstanding jobs, then configuration order — so with no
-// score signal (all zero) PickScored degenerates to exactly Pick, and a
-// warm backend is preferred only over equally-idle-or-busier cold ones
-// never at the cost of dogpiling: score wins first, but a score function
-// returning uniform values restores pure least-outstanding routing.
-func (p *Pool) PickScored(exclude map[string]bool, score func(url string) int) *Lease {
-	if score == nil {
-		return p.Pick(exclude)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var best *backend
-	bestScore := 0
-	for _, b := range p.backends {
-		if !b.healthy || exclude[b.url] {
-			continue
-		}
-		s := score(b.url)
-		if best == nil || s > bestScore || (s == bestScore && b.outstanding < best.outstanding) {
-			best, bestScore = b, s
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	best.outstanding++
-	return &Lease{pool: p, b: best}
-}
-
-// healthyClients snapshots the healthy backends' (url, client) pairs in
-// configuration order — the Warm cache's view of who is worth asking.
-func (p *Pool) healthyClients() []*backend {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*backend, 0, len(p.backends))
-	for _, b := range p.backends {
-		if b.healthy {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // BackendStatus is one scoreboard row snapshot.
 type BackendStatus struct {
 	URL         string `json:"url"`

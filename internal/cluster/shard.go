@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"greendimm/internal/exp"
 	"greendimm/internal/server"
@@ -33,7 +32,8 @@ import (
 const maxReshard = 2
 
 // ShardOptions tunes a ShardRunner. CellsPerShard and Exec are
-// required; other zero values take defaults.
+// required; other zero values take defaults. Shards place by load: each
+// goes to the healthy peer with the fewest outstanding jobs (Pool.Pick).
 type ShardOptions struct {
 	// CellsPerShard is the target shard width: a job with m missing
 	// cells plans ceil(m/CellsPerShard) shards (capped at MaxShards),
@@ -45,22 +45,14 @@ type ShardOptions struct {
 	// whole on this node (default CellsPerShard + 1 — sharding a job
 	// that fits one shard only adds transport).
 	MinCells int
-	// Exec executes a full (unsharded) spec in-process — the merge step
-	// and the ineligible-job passthrough. cmd/greendimmd passes
-	// server.Config.BaseRunner(). Required.
+	// Exec executes a spec in-process — the merge step, the
+	// ineligible-job passthrough, and a shard that no peer completed
+	// (the ladder's local fallback, with the range set). cmd/greendimmd
+	// passes server.Config.BaseRunner(), so all three run under the
+	// daemon's limiter and against its shared memo. Required.
 	Exec func(server.JobSpec, server.RunHooks) (*server.Result, error)
 	// Counters receives shard accounting (default: the dispatcher's).
 	Counters *Counters
-	// Warm, when non-nil, makes placement memo-aware: each shard's
-	// predicted memo keys score the backends by warm overlap, and the
-	// whole job's keys are prefetched from the warmest peer before the
-	// local merge. Purely an optimization — a nil Warm (or a failed
-	// prediction) restores plain least-outstanding routing.
-	Warm *Warm
-	// PredictKeys predicts the memo keys a spec's cell range will need
-	// (default server.PredictMemoKeys). A test seam; errors are treated
-	// as "no prediction".
-	PredictKeys func(server.JobSpec) ([]string, error)
 }
 
 // ShardRunner wraps a Dispatcher as a server.Config.Runner: eligible
@@ -70,6 +62,8 @@ type ShardRunner struct {
 	d    *Dispatcher
 	opts ShardOptions
 	ctr  *Counters
+	// local is Exec as the dispatcher ladder's last rung for shards.
+	local func(context.Context, server.JobSpec) (*server.Result, error)
 }
 
 // NewShardRunner builds a shard runner over the dispatcher.
@@ -92,10 +86,7 @@ func NewShardRunner(d *Dispatcher, opts ShardOptions) (*ShardRunner, error) {
 	if opts.Counters == nil {
 		opts.Counters = d.ctr
 	}
-	if opts.PredictKeys == nil {
-		opts.PredictKeys = server.PredictMemoKeys
-	}
-	return &ShardRunner{d: d, opts: opts, ctr: opts.Counters}, nil
+	return &ShardRunner{d: d, opts: opts, ctr: opts.Counters, local: localRunner(opts.Exec)}, nil
 }
 
 // eligible reports whether the spec can fan out as cell-range shards.
@@ -136,20 +127,6 @@ func (r *ShardRunner) Run(spec server.JobSpec, h server.RunHooks) (*server.Resul
 	for _, m := range missing {
 		missingCells += m[1] - m[0]
 	}
-	// Warm the local memo before any work runs: whatever the merge (or a
-	// local-fallback shard) will need that a peer already holds is one
-	// batched fetch away. Best-effort and bounded — a cold pool just
-	// returns 0.
-	if r.opts.Warm != nil {
-		if keys, kerr := r.opts.PredictKeys(spec); kerr == nil && len(keys) > 0 {
-			pctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if n := r.opts.Warm.Prefetch(pctx, keys); n > 0 {
-				h.Trace.Mark("memo_prefetch", fmt.Sprintf("%d entries", n))
-			}
-			cancel()
-		}
-	}
-
 	var collected []exp.CellArtifact
 	if missingCells >= r.opts.MinCells {
 		planned := planShards(missing, r.opts.CellsPerShard, r.opts.MaxShards)
@@ -224,27 +201,15 @@ func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned 
 }
 
 // runRange executes one cell range through the dispatcher's ladder
-// (failover, hedging, local fallback). If even the ladder fails it
-// halves the range and retries each half, depth levels down.
+// (failover, hedging, then Exec as the local fallback). If even the
+// ladder fails it halves the range and retries each half, depth levels
+// down.
 func (r *ShardRunner) runRange(ctx context.Context, spec server.JobSpec, h server.RunHooks, collect func([]exp.CellArtifact), lo, hi, depth int) error {
 	shardSpec := spec
 	shardSpec.Cells = &server.CellRangeSpec{Lo: lo, Hi: hi}
-	hash, err := server.SpecHash(shardSpec)
-	if err != nil {
-		return err
-	}
 	r.ctr.Shards.Add(1)
-	// Score backends by how much of this shard's memo working set they
-	// hold warm. A nil scorer (no Warm, failed prediction, or a fully
-	// cold pool) leaves routing purely least-outstanding.
-	var score func(url string) int
-	if r.opts.Warm != nil {
-		if keys, kerr := r.opts.PredictKeys(shardSpec); kerr == nil && len(keys) > 0 {
-			score = r.opts.Warm.Scorer(ctx, keys)
-		}
-	}
 	sp := h.Trace.StartArg("shard", fmt.Sprintf("[%d,%d)", lo, hi))
-	res, _, err := r.d.runOnePick(ctx, shardSpec, hash, h.Trace, score)
+	res, _, err := r.d.runOne(ctx, shardSpec, h.Trace, r.local)
 	sp.EndErr(err)
 	if err == nil {
 		collect(res.Cells)

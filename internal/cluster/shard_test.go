@@ -1,12 +1,14 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -209,9 +211,9 @@ func TestShardJournalFlow(t *testing.T) {
 }
 
 // TestShardReshardOnFailure fault-injects width: every path — both
-// backends and the dispatcher's local fallback — fails shards wider
-// than 3 cells, so the initial [0,12) shard must halve twice before its
-// four width-3 quarters succeed.
+// backends and the shard runner's Exec, the ladder's local fallback —
+// fails shards wider than 3 cells, so the initial [0,12) shard must
+// halve twice before its four width-3 quarters succeed.
 func TestShardReshardOnFailure(t *testing.T) {
 	want := mustFingerprint(t, localExec(t, shardSpec()))
 	tooWide := func(spec server.JobSpec) bool {
@@ -230,18 +232,14 @@ func TestShardReshardOnFailure(t *testing.T) {
 		urls = append(urls, hs.URL)
 	}
 	pool := NewPool(urls, PoolConfig{Client: fastClient(ctr)})
-	// The local fallback is the ladder's last rung: it must reject wide
+	d := NewDispatcher(pool, Options{Counters: ctr})
+	// Exec is the ladder's last rung for a shard: it must reject wide
 	// shards too, or it would absorb the failure before resharding could.
-	d := NewDispatcher(pool, Options{Counters: ctr, Local: func(ctx context.Context, spec server.JobSpec) (*server.Result, error) {
-		if tooWide(spec) {
-			return nil, fmt.Errorf("injected: local shard too wide")
-		}
-		return server.Execute(spec, server.RunHooks{Stop: func() bool { return ctx.Err() != nil }})
-	}})
+	// The merge carries no range, so it runs.
 	sr, err := NewShardRunner(d, ShardOptions{
 		CellsPerShard: 12,
 		MinCells:      1,
-		Exec:          execLocal,
+		Exec:          failWide,
 		Counters:      ctr,
 	})
 	if err != nil {
@@ -258,6 +256,73 @@ func TestShardReshardOnFailure(t *testing.T) {
 	// width-3 quarters that succeed: 7 range executions, 3 reshards.
 	if s, rs := ctr.Shards.Load(), ctr.ShardRetries.Load(); s != 7 || rs != 3 {
 		t.Fatalf("shards=%d reshards=%d, want 7/3", s, rs)
+	}
+}
+
+// TestShardFallbackRunsOnExec: with every peer down, each shard falls
+// back to the runner's Exec, the daemon's own runner with its limiter
+// and shared memo, not to a throwaway in-process run. Exec's memo holds
+// all 12 cells, as a journal warm boot leaves it, so neither the
+// fallback shards nor the merge compute any.
+func TestShardFallbackRunsOnExec(t *testing.T) {
+	want := mustFingerprint(t, localExec(t, shardSpec()))
+	warm := server.Config{Workers: 1}
+	warm.Memo = warm.NewMemo()
+	if _, err := warm.BaseRunner()(shardSpec(), server.RunHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.Config{Workers: 1}
+	cfg.Memo = cfg.NewMemo()
+	if n := cfg.Memo.Import(warm.Memo.Export(nil)); n != 12 {
+		t.Fatalf("Exec's memo holds %d cells, want fig8's 12", n)
+	}
+
+	dead := make([]string, 2)
+	for i := range dead {
+		hs := httptest.NewServer(http.NotFoundHandler())
+		hs.Close()
+		dead[i] = hs.URL
+	}
+	ctr := &Counters{}
+	pool := NewPool(dead, PoolConfig{Client: fastClient(ctr), FailThreshold: 1})
+	d := NewDispatcher(pool, Options{Counters: ctr})
+	base := cfg.BaseRunner()
+	var mu sync.Mutex
+	var ranges []string
+	merges := 0
+	sr, err := NewShardRunner(d, ShardOptions{
+		CellsPerShard: 6,
+		Counters:      ctr,
+		Exec: func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
+			mu.Lock()
+			if spec.Cells != nil {
+				ranges = append(ranges, fmt.Sprintf("[%d,%d)", spec.Cells.Lo, spec.Cells.Hi))
+			} else {
+				merges++
+			}
+			mu.Unlock()
+			return base(spec, h)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sr.Run(shardSpec(), server.RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustFingerprint(t, res); got != want {
+		t.Fatal("report from fallback shards diverged from single-node run")
+	}
+	sort.Strings(ranges)
+	if !reflect.DeepEqual(ranges, []string{"[0,6)", "[6,12)"}) || merges != 1 {
+		t.Fatalf("Exec ran shards %v and %d merges, want [[0,6) [6,12)] and 1", ranges, merges)
+	}
+	if n := ctr.LocalRuns.Load(); n != 2 {
+		t.Fatalf("local runs = %d, want the 2 fallback shards", n)
+	}
+	if n := cfg.Memo.Computes(); n != 0 {
+		t.Fatalf("fallback shards and merge computed %d cells, want 0", n)
 	}
 }
 

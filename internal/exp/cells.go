@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"greendimm/internal/sweep"
 )
 
 // This file is the sweep layer's decomposition seam: a matrix-shaped
@@ -49,11 +51,10 @@ func (r *RangeDone) Error() string {
 
 // CellArtifact is one memoized sweep cell's canonical JSON value under
 // its memo fingerprint key — the durable, transportable unit of
-// completed work that shard execution and the job store exchange.
-type CellArtifact struct {
-	Key   string          `json:"key"`
-	Value json.RawMessage `json:"value"`
-}
+// completed work that shard execution and the job store exchange. It is
+// the memo's own entry record, so artifacts import into a memo as they
+// are.
+type CellArtifact = sweep.Entry
 
 // compactValue normalizes an artifact value's whitespace so values that
 // crossed an indenting encoder (the HTTP layer pretty-prints) compare

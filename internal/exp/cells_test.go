@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,11 +41,7 @@ func replayMemo(t *testing.T, arts []CellArtifact) *sweep.Memo {
 	t.Helper()
 	m := sweep.NewMemo(0)
 	m.SetCodec(MemoCodec())
-	entries := make([]sweep.Entry, len(arts))
-	for i, a := range arts {
-		entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: a.Key, Value: a.Value}
-	}
-	if n := m.Import(entries); n != len(arts) {
+	if n := m.Import(arts); n != len(arts) {
 		t.Fatalf("memo imported %d of %d artifacts", n, len(arts))
 	}
 	return m
@@ -128,29 +125,57 @@ func TestSweepRangeValidation(t *testing.T) {
 	}
 }
 
-// TestRangeArtifactsReplay is the decomposition soundness check at the
-// exp layer: two disjoint ranges produce artifacts; replaying them
-// through a memo into a full run must compute nothing, offer all 12
-// cells to the sink, and yield a report byte-identical to an untouched
-// full run.
+// TestRangeArtifactsReplay is the decomposition soundness check the
+// shard merge relies on, for every distinct shardable run at quick
+// scale: CellCount is the total the run's Progress hook reports; the
+// artifacts of two disjoint ranges, replayed through a memo into a full
+// run, compute nothing, reach the sink with their bytes, and yield a
+// report byte-identical to an untouched full run. Under -short (the
+// race pass) it keeps the runs whose cells are cheapest.
 func TestRangeArtifactsReplay(t *testing.T) {
-	fn := Registry()["fig8"]
-	base := Options{Quick: true, Seed: 1}
-
-	var sunk artifactLog
-	for _, r := range [][2]int{{0, 7}, {7, 12}} {
-		o := base
-		o.CellRange = &CellRange{Lo: r[0], Hi: r[1]}
-		o.CellSink = sunk.sink
-		var rd *RangeDone
-		if _, _, err := fn(o); !errors.As(err, &rd) {
-			t.Fatalf("range %v: %v", r, err)
+	runs := []string{"fig1", "fig3", "fig6", "fig8", "fig9", "fig12", "fig13", "tab3", "tail", "polgrid"}
+	aliases := map[string]string{"fig7": "fig6", "tab2": "fig6", "fig10": "fig9", "fig11": "fig9"}
+	for _, id := range ShardableExperiments() {
+		run := id
+		if a, ok := aliases[id]; ok {
+			run = a
+		}
+		if !slices.Contains(runs, run) {
+			t.Errorf("shardable %s is neither a listed run nor an alias of one", id)
 		}
 	}
-	if len(sunk.arts) != 12 {
-		t.Fatalf("collected %d artifacts from 12 cells", len(sunk.arts))
+	if testing.Short() {
+		runs = []string{"fig6", "fig8", "tab3", "polgrid"}
 	}
-	checkReplay(t, fn, base, sunk.arts)
+	for _, id := range runs {
+		t.Run(id, func(t *testing.T) {
+			fn := Registry()[id]
+			base := Options{Quick: true, Seed: 1}
+			n, err := CellCount(id, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sunk artifactLog
+			for _, r := range [][2]int{{0, n / 2}, {n / 2, n}} {
+				o := base
+				o.CellRange = &CellRange{Lo: r[0], Hi: r[1]}
+				o.CellSink = sunk.sink
+				var rd *RangeDone
+				if _, _, err := fn(o); !errors.As(err, &rd) {
+					t.Fatalf("range %v: %v", r, err)
+				}
+			}
+			// Both full runs checkReplay makes report progress; each
+			// ends at n of n.
+			var done, total int
+			full := base
+			full.Hooks.Progress = func(d, tot int, _ float64) { done, total = d, tot }
+			checkReplay(t, fn, full, sunk.arts)
+			if done != n || total != n {
+				t.Fatalf("Progress reported %d of %d cells, CellCount %d", done, total, n)
+			}
+		})
+	}
 }
 
 // TestCellRoundTrip pins the verify-on-both-ends contract of

@@ -78,16 +78,6 @@ type Options struct {
 	// sweep cells when Parallelism != 1, so it must be safe for
 	// concurrent use. Pure observation: it must not influence results.
 	CellSink func(CellArtifact) `json:"-"`
-
-	// KeyProbe, when non-nil, switches the run into key-prediction mode
-	// (PredictKeys): every memoized() call reports its key to the probe
-	// and returns a zero value without simulating, and sweep cells
-	// swallow the errors and panics that zero-value intermediates cause
-	// downstream. Probe output is a best-effort heuristic for placement
-	// and prefetch — a cell whose body fails early may report only a
-	// prefix of its keys — and must never feed results. Called from
-	// concurrent cells when Parallelism != 1.
-	KeyProbe func(key string) `json:"-"`
 }
 
 // Hooks lets a caller — the greendimmd daemon, a test harness — observe
@@ -168,19 +158,6 @@ func (o Options) parallelism() int {
 func (o Options) sweepCells(n int, cell func(i int, h Hooks) error) error {
 	if r := o.CellRange; r != nil {
 		return o.sweepRange(n, *r, cell)
-	}
-	if o.KeyProbe != nil {
-		// Probe mode: cells run only to drive their memoized() calls, on
-		// zero-value stand-in data. Whatever a cell's post-memo math does
-		// with those zeros — error out, divide by zero, index past an
-		// empty slice — is irrelevant and must not abort the sweep, so
-		// both errors and panics are swallowed per cell.
-		inner := cell
-		cell = func(i int, h Hooks) error {
-			defer func() { _ = recover() }()
-			_ = inner(i, h)
-			return nil
-		}
 	}
 	h := o.Hooks
 	if h.Observe != nil {

@@ -22,14 +22,6 @@ import (
 // zero Options computes directly, so call sites thread Options without
 // branching.
 func memoized[T any](o Options, key string, compute func() (T, error)) (T, error) {
-	if o.KeyProbe != nil {
-		// Key-probe mode (PredictKeys): record which memo keys the cell
-		// would consult and skip all simulation. The zero value stands in
-		// for the real result; probe sweeps swallow downstream errors.
-		o.KeyProbe(key)
-		var zero T
-		return zero, nil
-	}
 	var v T
 	var err error
 	if m := o.Memo; m != nil {

@@ -12,9 +12,9 @@ import (
 // prefix (exp/memo.go) maps to one concrete Go type; encoding and
 // decoding reuse the cell-artifact round-trip verification (cells.go),
 // so an entry that would not reproduce its own bytes is dropped rather
-// than exchanged. Unknown prefixes are not exportable: a future key
-// family is invisible to old peers and old memo stores until its codec
-// arm exists, which keeps cross-version exchange recompute-safe.
+// than replayed. Unknown prefixes are not exportable: a future key
+// family is invisible to old peers and old job journals until its codec
+// arm exists, which keeps a cross-version replay recompute-safe.
 func MemoCodec() sweep.Codec { return memoCodec{} }
 
 type memoCodec struct{}

@@ -28,8 +28,6 @@ import (
 //	GET    /v1/policies         registered block-selection policies and
 //	                            trackers (schemas, defaults) plus this
 //	                            daemon's default policy
-//	GET    /v1/memo/keys        this daemon's warm memo-key digest
-//	POST   /v1/memo/entries     batched memo-entry fetch ({"keys": [...]})
 //	GET    /healthz             liveness + drain state
 //	GET    /metrics             Prometheus text format
 //
@@ -45,8 +43,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
-	mux.HandleFunc("GET /v1/memo/keys", s.handleMemoKeys)
-	mux.HandleFunc("POST /v1/memo/entries", s.handleMemoFetch)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux

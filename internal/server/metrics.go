@@ -59,10 +59,8 @@ func (s *Server) renderMetrics() string {
 		metrics.V(float64(st.memoComputes)))
 	e.Add("greendimm_memo_evictions_total", "counter", "Settled memo entries dropped by the LRU bound.",
 		metrics.V(float64(st.memoEvictions)))
-	e.Add("greendimm_memo_imports_total", "counter", "Memo entries installed by import: journaled cells at boot, a resumed or merged job's replayed cells, and peer fetches.",
+	e.Add("greendimm_memo_imports_total", "counter", "Memo entries installed by import: journaled cells at boot and a resumed or merged job's replayed cells.",
 		metrics.V(float64(st.memoImports)))
-	e.Add("greendimm_memo_peer_fetch_total", "counter", "Memo entries pulled from warm cluster peers.",
-		metrics.V(float64(st.memoPeerFetch)))
 	if st.store != nil {
 		e.Add("greendimm_store_specs", "gauge", "Job records retained in the durable store.",
 			metrics.V(float64(st.store.Specs)))

@@ -156,7 +156,7 @@ func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo)
 			Hooks:       hooks,
 			Memo:        memo,
 		}
-		importCells(memo, h.Cells)
+		memo.Import(h.Cells)
 		// Collect artifacts when anyone wants them: a range job returns
 		// them as its result; a full job with CellObserved journals them.
 		var cellMu sync.Mutex
@@ -216,17 +216,6 @@ func runSpec(spec JobSpec, h RunHooks, limiter *sweep.Limiter, memo *sweep.Memo)
 	}
 	res.Text = renderText(res.Tables, res.Series)
 	return res, nil
-}
-
-// importCells installs cell artifacts in memo, each verified by its
-// codec, so a run against memo replays them as memo hits, and reports
-// how many it installed.
-func importCells(memo *sweep.Memo, cells []exp.CellArtifact) int {
-	entries := make([]sweep.Entry, len(cells))
-	for i, c := range cells {
-		entries[i] = sweep.Entry{V: sweep.EntryVersion, Key: c.Key, Value: c.Value}
-	}
-	return memo.Import(entries)
 }
 
 // sortCells canonicalizes a range run's collected artifacts: sorted by

@@ -104,8 +104,8 @@ type Config struct {
 
 	// Memo, when non-nil, is the shared baseline-cell memo itself —
 	// for callers (cmd/greendimmd) that must hand the same instance to
-	// both the server and the cluster's warm-placement machinery. Nil
-	// lets the server build one from MemoEntries via NewMemo.
+	// both the server and the shard runner's local executor. Nil lets
+	// the server build one from MemoEntries via NewMemo.
 	Memo *sweep.Memo
 
 	// Runner is the execution function — a test seam (used by the
@@ -167,8 +167,7 @@ func (c Config) resolved() Config {
 // NewMemo builds the baseline-cell memo this config implies: an
 // LRU-bounded memo of MemoEntries entries with the experiment layer's
 // entry codec installed. cmd/greendimmd calls this once and sets
-// Config.Memo so the server, the shard runner and the cluster's
-// warm-peer exchange all share one instance.
+// Config.Memo so the server and the shard runner share one instance.
 func (c Config) NewMemo() *sweep.Memo {
 	c = c.filled()
 	m := sweep.NewMemo(c.MemoEntries)
@@ -351,11 +350,8 @@ type Server struct {
 	storeErrs atomic.Int64
 
 	// memoImported counts the journaled cells that Open installed in the
-	// memo after codec verification, so a restarted daemon boots warm;
-	// memoPeerFetch counts entries pulled from warm cluster peers
-	// (reported via NotePeerMemoFetch).
-	memoImported  int64
-	memoPeerFetch atomic.Int64
+	// memo after codec verification, so a restarted daemon boots warm.
+	memoImported int64
 
 	wg sync.WaitGroup
 }
@@ -1024,8 +1020,7 @@ func (s *Server) closeStore() {
 }
 
 // Memo returns the server's shared baseline-cell memo — the instance
-// the memo-exchange endpoints serve and the cluster's warm machinery
-// scores against.
+// every local job, resumed and merged ones included, replays through.
 func (s *Server) Memo() *sweep.Memo { return s.cfg.Memo }
 
 // MemoImported reports how many journaled cells the boot import
@@ -1039,7 +1034,7 @@ func (s *Server) MemoImported() int64 { return s.memoImported }
 // cells by fingerprint alone, so the memo is warm for any spec that
 // shares a cell, not only the spec that journaled it.
 func WarmMemo(m *sweep.Memo, st *store.Store) int {
-	return importCells(m, artifacts(st.Cells()))
+	return m.Import(artifacts(st.Cells()))
 }
 
 // artifacts converts journaled cells to the artifacts a run replays.
@@ -1050,11 +1045,6 @@ func artifacts(cells []store.Cell) []exp.CellArtifact {
 	}
 	return out
 }
-
-// NotePeerMemoFetch records n memo entries pulled from warm cluster
-// peers, for /metrics. The cluster layer calls it (via the wiring in
-// cmd/greendimmd) because the fetch happens outside the server.
-func (s *Server) NotePeerMemoFetch(n int64) { s.memoPeerFetch.Add(n) }
 
 // stats is one consistent snapshot for /metrics.
 type stats struct {
@@ -1079,7 +1069,6 @@ type stats struct {
 	memoComputes  int64
 	memoEvictions int64
 	memoImports   int64
-	memoPeerFetch int64
 }
 
 func (s *Server) snapshot() stats {
@@ -1117,6 +1106,5 @@ func (s *Server) snapshot() stats {
 	st.memoComputes = m.Computes()
 	st.memoEvictions = m.Evictions()
 	st.memoImports = m.Imports()
-	st.memoPeerFetch = s.memoPeerFetch.Load()
 	return st
 }

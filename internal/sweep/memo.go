@@ -35,11 +35,10 @@ import (
 // concurrent fan-in; it settles back under the bound as computes finish.
 //
 // Entries whose key family the installed Codec recognizes are
-// serializable: Export renders them as versioned Entry records, Import
-// replays such records (verified by the codec) into warm entries, and
-// Keys digests the exportable residents — the building blocks of the
-// daemon's warm boot from its job journal, of replaying a resumed or
-// merged job's cells, and of the cluster's warm-peer exchange.
+// serializable: Export renders them as Entry records and Import replays
+// such records (verified by the codec) into warm entries — the building
+// blocks of the daemon's warm boot from its job journal and of replaying
+// a resumed or merged job's cells.
 type Memo struct {
 	mu        sync.Mutex
 	cap       int
@@ -65,17 +64,12 @@ type memoEntry struct {
 	settled bool
 }
 
-// EntryVersion is the current Entry wire/disk format version. Import
-// ignores entries from other versions — a mixed-version cluster degrades
-// to recomputation, never to misdecoded values.
-const EntryVersion = 1
-
-// Entry is one serialized memo entry: a versioned (key, canonical JSON
-// value) pair produced by Export and accepted by Import. The value
-// encoding is the codec's (deterministic, round-trip verified), so two
-// daemons exporting the same key emit identical bytes.
+// Entry is one serialized memo entry: a (key, canonical JSON value)
+// pair produced by Export and accepted by Import. The value encoding is
+// the codec's (deterministic, round-trip verified), so two daemons
+// exporting the same key emit identical bytes, and the codec's strict
+// decode is what guards an entry read from disk or a peer.
 type Entry struct {
-	V     int             `json:"v"`
 	Key   string          `json:"key"`
 	Value json.RawMessage `json:"value"`
 }
@@ -104,8 +98,8 @@ func NewMemo(cap int) *Memo {
 	return &Memo{cap: cap, entries: make(map[string]*memoEntry), lru: list.New()}
 }
 
-// SetCodec installs the entry codec, enabling Export/Import/Keys. Safe
-// to call repeatedly; the last codec wins.
+// SetCodec installs the entry codec, enabling Export/Import. Safe to
+// call repeatedly; the last codec wins.
 func (m *Memo) SetCodec(c Codec) {
 	if m == nil {
 		return
@@ -186,27 +180,6 @@ func (m *Memo) evictLocked() {
 	}
 }
 
-// Keys returns the sorted keys of every settled, exportable resident
-// entry — the memo's warm digest. Without a codec it returns nil.
-func (m *Memo) Keys() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.codec == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(m.entries))
-	for k, e := range m.entries {
-		if e.settled && m.codec.Exportable(k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Export serializes the named entries (nil keys = every exportable
 // resident), sorted by key. Entries that are absent, in flight, or that
 // the codec declines are silently skipped — exports are a warm-state
@@ -246,7 +219,7 @@ func (m *Memo) Export(keys []string) []Entry {
 	out := make([]Entry, 0, len(pairs))
 	for _, p := range pairs {
 		if raw, ok := codec.Encode(p.key, p.val); ok {
-			out = append(out, Entry{V: EntryVersion, Key: p.key, Value: raw})
+			out = append(out, Entry{Key: p.key, Value: raw})
 		}
 	}
 	return out
@@ -255,9 +228,8 @@ func (m *Memo) Export(keys []string) []Entry {
 // Import replays exported entries into warm, settled residents at the
 // front of the LRU, returning how many were installed. Each entry is
 // verified by the codec before it is trusted (strict decode, round-trip
-// exact); entries from other format versions, unknown key families, or
-// failing verification are skipped — a bad import degrades to
-// recomputation. Keys already resident (settled or in flight) are left
+// exact); entries of unknown key families or failing verification are
+// skipped — a bad import degrades to recomputation. Keys already resident (settled or in flight) are left
 // alone, and skipped before they are decoded: a local computation in
 // progress beats a replay.
 func (m *Memo) Import(entries []Entry) int {
@@ -272,7 +244,7 @@ func (m *Memo) Import(entries []Entry) int {
 	}
 	installed := 0
 	for _, ent := range entries {
-		if ent.V != EntryVersion || !codec.Exportable(ent.Key) || m.resident(ent.Key) {
+		if !codec.Exportable(ent.Key) || m.resident(ent.Key) {
 			continue
 		}
 		val, ok := codec.Decode(ent.Key, ent.Value)

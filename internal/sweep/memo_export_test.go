@@ -42,22 +42,17 @@ func fill(t *testing.T, m *Memo, kv map[string]int) {
 	}
 }
 
-func TestMemoKeysAndExport(t *testing.T) {
+// TestMemoExport: Export emits the keys of the exportable
+// families only, sorted, each with the codec's bytes.
+func TestMemoExport(t *testing.T) {
 	m := NewMemo(0)
 	m.SetCodec(testCodec{})
 	fill(t, m, map[string]int{"t|b": 2, "t|a": 1, "x|c": 3})
 
-	if got, want := m.Keys(), []string{"t|a", "t|b"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Keys() = %v, want %v (sorted, exportable families only)", got, want)
-	}
 	entries := m.Export(nil)
-	if len(entries) != 2 || entries[0].Key != "t|a" || entries[1].Key != "t|b" {
-		t.Fatalf("Export(nil) = %+v, want t|a then t|b", entries)
-	}
-	for _, e := range entries {
-		if e.V != EntryVersion {
-			t.Fatalf("entry %s has version %d, want %d", e.Key, e.V, EntryVersion)
-		}
+	want := []Entry{{Key: "t|a", Value: json.RawMessage(`1`)}, {Key: "t|b", Value: json.RawMessage(`2`)}}
+	if !reflect.DeepEqual(entries, want) {
+		t.Fatalf("Export(nil) = %+v, want t|a then t|b (sorted, exportable families only)", entries)
 	}
 	// Subsets skip absent keys silently.
 	sub := m.Export([]string{"t|b", "t|missing"})
@@ -98,9 +93,8 @@ func TestMemoImportRejectsBadEntries(t *testing.T) {
 	m := NewMemo(0)
 	m.SetCodec(testCodec{})
 	bad := []Entry{
-		{V: EntryVersion + 1, Key: "t|v", Value: json.RawMessage(`1`)}, // wrong version
-		{V: EntryVersion, Key: "x|f", Value: json.RawMessage(`1`)},     // unknown family
-		{V: EntryVersion, Key: "t|c", Value: json.RawMessage(`"s"`)},   // fails decode
+		{Key: "x|f", Value: json.RawMessage(`1`)},   // unknown family
+		{Key: "t|c", Value: json.RawMessage(`"s"`)}, // fails decode
 	}
 	if n := m.Import(bad); n != 0 {
 		t.Fatalf("Import(bad) = %d, want 0", n)
@@ -114,7 +108,7 @@ func TestMemoImportKeepsResident(t *testing.T) {
 	m := NewMemo(0)
 	m.SetCodec(testCodec{})
 	fill(t, m, map[string]int{"t|a": 7})
-	if n := m.Import([]Entry{{V: EntryVersion, Key: "t|a", Value: json.RawMessage(`99`)}}); n != 0 {
+	if n := m.Import([]Entry{{Key: "t|a", Value: json.RawMessage(`99`)}}); n != 0 {
 		t.Fatalf("Import over resident key = %d, want 0 (local entry wins)", n)
 	}
 	v, err := m.Do("t|a", func() (any, error) { return -1, nil })
@@ -145,14 +139,14 @@ func TestMemoImportSkipsResidentBeforeDecoding(t *testing.T) {
 	m.SetCodec(codec)
 	fill(t, m, map[string]int{"t|a": 1})
 	entries := []Entry{
-		{V: EntryVersion, Key: "t|b", Value: json.RawMessage(`2`)},
-		{V: EntryVersion, Key: "t|c", Value: json.RawMessage(`3`)},
+		{Key: "t|b", Value: json.RawMessage(`2`)},
+		{Key: "t|c", Value: json.RawMessage(`3`)},
 	}
 	if n := m.Import(entries); n != 2 || codec.decodes.Load() != 2 {
 		t.Fatalf("first import installed %d with %d decodes, want 2 and 2", n, codec.decodes.Load())
 	}
 	imports := m.Imports()
-	resident := append(entries, Entry{V: EntryVersion, Key: "t|a", Value: json.RawMessage(`1`)})
+	resident := append(entries, Entry{Key: "t|a", Value: json.RawMessage(`1`)})
 	if n := m.Import(resident); n != 0 {
 		t.Fatalf("importing resident keys installed %d, want 0", n)
 	}
@@ -171,7 +165,7 @@ func TestMemoImportConcurrent(t *testing.T) {
 	m.SetCodec(testCodec{})
 	entries := make([]Entry, 32)
 	for i := range entries {
-		entries[i] = Entry{V: EntryVersion, Key: fmt.Sprintf("t|%d", i), Value: json.RawMessage(fmt.Sprint(i))}
+		entries[i] = Entry{Key: fmt.Sprintf("t|%d", i), Value: json.RawMessage(fmt.Sprint(i))}
 	}
 	var wg sync.WaitGroup
 	var installed atomic.Int64
@@ -205,10 +199,10 @@ func TestMemoImportEvictsWithinCap(t *testing.T) {
 func TestMemoNoCodecDisablesExchange(t *testing.T) {
 	m := NewMemo(0)
 	fill(t, m, map[string]int{"t|a": 1})
-	if m.Keys() != nil || m.Export(nil) != nil {
+	if m.Export(nil) != nil {
 		t.Fatal("codec-less memo must not export")
 	}
-	if n := m.Import([]Entry{{V: EntryVersion, Key: "t|a", Value: json.RawMessage(`1`)}}); n != 0 {
+	if n := m.Import([]Entry{{Key: "t|a", Value: json.RawMessage(`1`)}}); n != 0 {
 		t.Fatalf("codec-less Import = %d, want 0", n)
 	}
 }

@@ -26,15 +26,16 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm, cluster, metrics)"
+echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm, cluster, metrics, power)"
 # The request path's, the page allocator's, memory-block off-lining's,
-# the periodic daemons' (GreenDIMM's monitor tick, ksmd's scan wake-up)
-# and a capped metrics.Distribution's zero-allocation contracts, and the
-# cluster dispatcher's allocation ceiling, asserted as tests so a
-# regression fails the gate, not just a benchmark readout. Run WITHOUT the race
+# the periodic daemons' (GreenDIMM's monitor tick, ksmd's scan wake-up),
+# a capped metrics.Distribution's and power accounting's (FromActivity)
+# zero-allocation contracts, and the cluster dispatcher's allocation
+# ceiling, asserted as tests so a regression fails the gate, not just a
+# benchmark readout. Run WITHOUT the race
 # detector: AllocsPerRun must count only the code's own allocations, and
 # these same tests also run race-instrumented in the repo-wide pass below.
-go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/ ./internal/cluster/ ./internal/metrics/
+go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/ ./internal/cluster/ ./internal/metrics/ ./internal/power/
 
 echo "==> fuzz engine tie-break, journal snapshot restore and peer responses (10s each)"
 # The engine's equal-time ordering and its reserved-key answers (Passed,
@@ -43,8 +44,8 @@ echo "==> fuzz engine tie-break, journal snapshot restore and peer responses (10
 # Then the job journal's snapshot restore, on arbitrary bytes: the
 # snapshot is the daemon's only durable state and the source of its warm
 # memo at boot. Then cluster.Client's decoding of a peer's status,
-# Retry-After hint and body, which carry shard artifacts and memo
-# entries between daemons. Minimization is bounded: at Go's default
+# Retry-After hint and job view, which carries a range job's cell
+# artifacts between daemons. Minimization is bounded: at Go's default
 # (60 s per new input, not counted in -fuzztime) the first new input
 # stalls the whole window.
 go test -run '^$' -fuzz FuzzEngineTieBreak -fuzztime 10s -fuzzminimizetime 10x ./internal/sim/
