@@ -47,7 +47,7 @@ func main() {
 	}
 
 	// A 2GB application footprint; everything else is idle capacity.
-	if _, err := mem.AllocPages(2<<30/mem.PageBytes(), true, 42); err != nil {
+	if err := mem.Alloc(2<<30/mem.PageBytes(), true, 42); err != nil {
 		log.Fatal(err)
 	}
 

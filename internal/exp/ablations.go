@@ -239,6 +239,7 @@ func ablateIdlePolicy(opts Options) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
+		defer ctrl.Release() // see runTiming
 		g := sim.NewRNG(opts.Seed + 9)
 		footprint := uint64(256 << 20)
 		horizon := opts.horizon(20 * sim.Millisecond)

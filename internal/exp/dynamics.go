@@ -90,6 +90,7 @@ func runDynamics(cfg dynamicsConfig) (DynamicsRun, error) {
 	if err != nil {
 		return DynamicsRun{}, err
 	}
+	defer mem.Release() // see runTiming
 	hp, err := hotplug.New(mem, hotplug.Config{
 		BlockBytes:             cfg.blockMB << 20,
 		MigrateAttemptFailProb: cfg.failProb,

@@ -54,20 +54,22 @@ func runRAMZzzCell(interleaved, withDaemon bool, opts Options) (RAMZzzRow, error
 	if err != nil {
 		return RAMZzzRow{}, err
 	}
+	defer mem.Release() // see runTiming
 	ctrl, err := mc.New(eng, mc.Config{
 		Org: org, Timing: dram.DDR4_2133(), Interleaved: interleaved, LowPower: true,
 	})
 	if err != nil {
 		return RAMZzzRow{}, err
 	}
+	defer ctrl.Release()
 	// A hot 2GB owner in (half of) rank 0 plus cold remnants scattered
 	// over ranks 1 and 2 — the fragmentation RAMZzz repairs by packing
 	// the remnants into rank 0's free space.
-	if _, err := mem.AllocPages(2048, true, 10); err != nil {
+	if err := mem.Alloc(2048, true, 10); err != nil {
 		return RAMZzzRow{}, err
 	}
 	for o := uint32(11); o < 13; o++ {
-		if _, err := mem.AllocPages(4096, true, o); err != nil {
+		if err := mem.Alloc(4096, true, o); err != nil {
 			return RAMZzzRow{}, err
 		}
 	}

@@ -203,6 +203,7 @@ func RunVMScenario(spec VMScenario, hooks Hooks) (VMDayResult, error) {
 	if err != nil {
 		return VMDayResult{}, err
 	}
+	defer mem.Release() // see runTiming
 	var ksmd *ksm.Daemon
 	if s.KSM {
 		// The paper's 1000-pages/50ms scan (80MB/s) in 2MB frames.

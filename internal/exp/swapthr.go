@@ -77,6 +77,7 @@ func runSwapCell(offThr float64, adaptive bool, opts Options) (SwapThrRow, error
 	if err != nil {
 		return SwapThrRow{}, err
 	}
+	defer mem.Release() // see runTiming
 	mem.ConfigureSwap(32 << 30)
 	// Direct reclaim: the faulting application evicts its own coldest
 	// pages, kswapd-style.

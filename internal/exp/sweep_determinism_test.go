@@ -36,9 +36,11 @@ func renderExperiment(t *testing.T, id string, opts Options) string {
 
 // TestSweepDeterminism is the parallel-sweep acceptance check: for a
 // spread of converted runners, a run at Parallelism 8 must render
-// byte-identical output to the serial walk at the same seed.
+// byte-identical output to the serial walk at the same seed. In fig9 and
+// tail, eight workers boot machines from the storage that other workers'
+// cells release, so the race detector also sees that hand-off.
 func TestSweepDeterminism(t *testing.T) {
-	for _, id := range []string{"fig3", "ramzzz", "swapthr", "tab3"} {
+	for _, id := range []string{"fig3", "fig9", "ramzzz", "swapthr", "tab3", "tail"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

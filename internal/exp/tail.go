@@ -98,12 +98,14 @@ func runService(prof workload.Profile, withDaemon bool, opts Options) (tailStats
 	if err != nil {
 		return tailStats{}, 0, err
 	}
+	defer mem.Release() // see runTiming
 	ctrl, err := mc.New(eng, mc.Config{
 		Org: org, Timing: dram.DDR4_2133(), Interleaved: true, LowPower: true,
 	})
 	if err != nil {
 		return tailStats{}, 0, err
 	}
+	defer ctrl.Release()
 	// Fixed horizon regardless of Quick: the daemon needs its initial
 	// drain (one-time, ~1s at the 100ms scaled period) to finish inside
 	// the warm-up so the measured window sees steady state, as a long-
@@ -130,6 +132,7 @@ func runService(prof workload.Profile, withDaemon bool, opts Options) (tailStats
 	if err != nil {
 		return tailStats{}, 0, err
 	}
+	defer svc.Latency().Release()
 
 	var daemon *core.Daemon
 	var warm core.Stats

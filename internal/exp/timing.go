@@ -48,6 +48,9 @@ func runTiming(cfg timingConfig) (TimingRun, error) {
 	if err != nil {
 		return TimingRun{}, err
 	}
+	// The machine ends with this run: its storage goes to the next cell's
+	// boot. Nothing returned below aliases it.
+	defer mem.Release()
 	ctrl, err := mc.New(eng, mc.Config{
 		Org:         org,
 		Timing:      dram.DDR4_2133(),
@@ -57,6 +60,7 @@ func runTiming(cfg timingConfig) (TimingRun, error) {
 	if err != nil {
 		return TimingRun{}, err
 	}
+	defer ctrl.Release()
 	prof := cfg.prof
 	copies := cfg.copies
 	if copies <= 0 {

@@ -7,11 +7,20 @@
 //
 // Pages carry no data; content identity (needed by KSM) lives in
 // internal/ksm, which registers a migration hook so content follows pages.
+//
+// Release contract: a caller done with a Mem may call Release, which hands
+// its page-sized storage (page metadata, owner positions, the owner table
+// and the allocation scratch buffer) to the next New, cleared before that
+// boot reads it. A released Mem must not be used again: its arrays and
+// hooks are nil, so a late call panics rather than touch storage another
+// Mem now owns. Nothing a Mem returns aliases that storage, so results
+// read before Release stay valid after it.
 package kernel
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"greendimm/internal/sim"
 )
@@ -130,6 +139,66 @@ type Mem struct {
 	swapIns       int64
 	reclaimer     func(pages int64) bool
 	reclaiming    bool
+
+	// scratch collects an Alloc's PFNs, which only a rollback reads. It is
+	// detached (nil) while a call is in flight, so an allocation made by a
+	// direct-reclaim callback gets a buffer of its own.
+	scratch []PFN
+}
+
+// storage is a Mem's page-sized arrays, recycled through storagePool from
+// a released Mem to the next boot. Every owner list, up to the owner
+// table's capacity, is empty but keeps its array.
+type storage struct {
+	pages      []pageMeta
+	posInOwner []int32
+	owners     []ownerList
+	scratch    []PFN
+}
+
+// storagePool holds released storage. Sweep workers boot one machine per
+// cell; without it, each boot's 768 KiB of arrays (64 GB of 1 MB frames)
+// would be garbage by the next cell.
+var storagePool sync.Pool
+
+// takeStorage returns cleared storage for npages frames: released storage
+// when its capacity covers them, fresh storage otherwise.
+func takeStorage(npages int64) *storage {
+	st, _ := storagePool.Get().(*storage)
+	if st == nil || int64(cap(st.pages)) < npages {
+		return &storage{
+			pages:      make([]pageMeta, npages),
+			posInOwner: make([]int32, npages),
+			owners:     []ownerList{{id: KernelOwner}},
+		}
+	}
+	st.pages = st.pages[:npages]
+	st.posInOwner = st.posInOwner[:npages]
+	clear(st.pages)
+	clear(st.posInOwner)
+	st.owners = st.owners[:1]
+	return st
+}
+
+// Release hands the Mem's page-sized storage to the next New (see the
+// package comment). Every method of a released Mem may panic; a second
+// Release does nothing.
+func (m *Mem) Release() {
+	if m.pages == nil {
+		return
+	}
+	owners := m.owners[:cap(m.owners)]
+	for i := range owners {
+		owners[i] = ownerList{pages: owners[i].pages[:0]}
+	}
+	storagePool.Put(&storage{
+		pages:      m.pages[:cap(m.pages)],
+		posInOwner: m.posInOwner[:cap(m.posInOwner)],
+		owners:     owners,
+		scratch:    m.scratch[:0],
+	})
+	m.pages, m.posInOwner, m.owners, m.scratch = nil, nil, nil, nil
+	m.pageTap, m.onMigrate, m.reclaimer = nil, nil, nil
 }
 
 // New boots a memory manager.
@@ -154,13 +223,15 @@ func New(cfg Config) (*Mem, error) {
 		}
 	}
 
+	st := takeStorage(npages)
 	m := &Mem{
 		cfg:         cfg,
 		npages:      npages,
-		pages:       make([]pageMeta, npages),
-		owners:      []ownerList{{id: KernelOwner}},
+		pages:       st.pages,
+		owners:      st.owners,
 		ownerSlot:   map[uint32]uint32{KernelOwner: 0},
-		posInOwner:  make([]int32, npages),
+		posInOwner:  st.posInOwner,
+		scratch:     st.scratch,
 		movStart:    PFN(npages - movPages),
 		onlinePages: npages,
 	}
@@ -183,7 +254,7 @@ func New(cfg Config) (*Mem, error) {
 func (m *Mem) bootReserve() error {
 	pages := m.cfg.KernelReservedBytes / m.cfg.PageBytes
 	if pages > 0 {
-		if _, err := m.AllocPages(pages, false, KernelOwner); err != nil {
+		if err := m.Alloc(pages, false, KernelOwner); err != nil {
 			return fmt.Errorf("kernel: boot reservation: %w", err)
 		}
 	}
@@ -272,8 +343,15 @@ func (m *Mem) slotOf(owner uint32) uint32 {
 		m.freeSlots = m.freeSlots[:k]
 		m.owners[s].id = owner
 	} else {
+		// Slots past the table's length hold empty lists; one a released
+		// Mem left there keeps its array for this owner.
 		s = uint32(len(m.owners))
-		m.owners = append(m.owners, ownerList{id: owner})
+		if int(s) < cap(m.owners) {
+			m.owners = m.owners[:s+1]
+		} else {
+			m.owners = append(m.owners, ownerList{})
+		}
+		m.owners[s].id = owner
 	}
 	m.ownerSlot[owner] = s
 	return s
@@ -324,26 +402,37 @@ func (m *Mem) clearAllocated(pfn PFN) {
 	}
 }
 
-// AllocPages allocates n pages for owner, movable or unmovable, returning
-// the PFNs in allocation order. Unmovable allocations are served from the
-// Normal zone only; movable allocations prefer the Movable zone. Fails
-// with ErrNoMemory (rolling back) if memory is exhausted.
+// Alloc allocates n pages for owner, movable or unmovable. Unmovable
+// allocations are served from the Normal zone only; movable allocations
+// prefer the Movable zone. Fails with ErrNoMemory (rolling back) if
+// memory is exhausted. OwnerPage reads the pages back in allocation
+// order.
+func (m *Mem) Alloc(n int64, movableAlloc bool, owner uint32) error {
+	_, err := m.allocScratch(n, movableAlloc, owner)
+	return err
+}
+
+// AllocPages is Alloc returning the PFNs it allocated, in allocation
+// order.
 func (m *Mem) AllocPages(n int64, movableAlloc bool, owner uint32) ([]PFN, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("kernel: non-positive allocation %d", n)
-	}
-	// Size the result once, but never beyond the free pages: a request
-	// that cannot fit fails (or reclaims and grows) rather than
-	// allocating its full size first.
-	avail := m.normal.Free()
-	if movableAlloc && m.movable != nil {
-		avail += m.movable.Free()
-	}
-	got, err := m.alloc(make([]PFN, 0, min(n, avail)), n, movableAlloc, m.slotOf(owner))
+	got, err := m.allocScratch(n, movableAlloc, owner)
 	if err != nil {
 		return nil, err
 	}
-	return got, nil
+	return append([]PFN(nil), got...), nil
+}
+
+// allocScratch runs an allocation through the scratch buffer and returns
+// the PFNs it took, valid until the next allocation.
+func (m *Mem) allocScratch(n int64, movableAlloc bool, owner uint32) ([]PFN, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("kernel: non-positive allocation %d", n)
+	}
+	buf := m.scratch
+	m.scratch = nil
+	got, err := m.alloc(buf[:0], n, movableAlloc, m.slotOf(owner))
+	m.scratch = got[:0]
+	return got, err
 }
 
 // alloc appends n pages for the owner in slot s to got. On failure it

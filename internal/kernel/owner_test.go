@@ -59,13 +59,26 @@ func TestOwnerIndexMatchesOracle(t *testing.T) {
 }
 
 func ownerOracleRun(t *testing.T, seed int64, steps int) {
-	mem, err := kernel.New(kernel.Config{
-		TotalBytes: 8 << 20, PageBytes: 4096, MovableBytes: 4 << 20,
-		KernelReservedBytes: 256 << 10, UnmovableLeakEvery: 4, Seed: seed,
-	})
+	mem, err := kernel.New(ownerOracleConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ownerOracleDrive(t, mem, seed, steps, nil)
+}
+
+// ownerOracleConfig is the machine the oracle sequences run on: small,
+// with a Movable zone, a kernel reservation and scattered unmovable pages.
+func ownerOracleConfig(seed int64) kernel.Config {
+	return kernel.Config{
+		TotalBytes: 8 << 20, PageBytes: 4096, MovableBytes: 4 << 20,
+		KernelReservedBytes: 256 << 10, UnmovableLeakEvery: 4, Seed: seed,
+	}
+}
+
+// ownerOracleDrive runs the seeded op sequence on a freshly booted mem,
+// holding it to the oracle after every op; after, when set, sees each
+// step once the checks pass.
+func ownerOracleDrive(t *testing.T, mem *kernel.Mem, seed int64, steps int, after func(step int, op string)) {
 	mem.ConfigureSwap(1 << 20)
 	o := &ownerOracle{pages: map[uint32][]kernel.PFN{}, pos: map[kernel.PFN]int{}, owner: map[kernel.PFN]uint32{}}
 	// Boot ran before the tap could be installed; start from its pages.
@@ -203,6 +216,9 @@ func ownerOracleRun(t *testing.T, seed int64, steps int) {
 		checkOwnerOracle(t, mem, o, fmt.Sprintf("step %d %s", step, op))
 		if got := kernel.OwnerSlots(mem); got != peak {
 			t.Fatalf("step %d %s: owner table has %d slots, want %d (the most owners alive at once)", step, op, got, peak)
+		}
+		if after != nil {
+			after(step, op)
 		}
 	}
 	if failed == 0 || recreated == 0 {

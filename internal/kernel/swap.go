@@ -22,7 +22,7 @@ func (m *Mem) ConfigureSwap(bytes int64) {
 	m.swapCapPages = bytes / m.cfg.PageBytes
 }
 
-// SetReclaimer installs the direct-reclaim hook: when AllocPages cannot
+// SetReclaimer installs the direct-reclaim hook: when Alloc cannot
 // satisfy a request, it calls fn(pagesNeeded) once; if fn frees memory and
 // returns true, the allocation retries. This is where kswapd-style
 // swap-out policy plugs in without the kernel dictating victim choice.
@@ -59,7 +59,7 @@ func (m *Mem) SwapOutOwnerPages(owner uint32, n int64) (int64, error) {
 
 // SwapInOwnerPages faults up to n of owner's swapped pages back into
 // memory. Returns pages brought in; fails when memory cannot hold them
-// (after giving the reclaimer a chance via AllocPages).
+// (after giving the reclaimer a chance via Alloc).
 func (m *Mem) SwapInOwnerPages(owner uint32, n int64) (int64, error) {
 	sw := m.swappedPages[owner]
 	if n > sw {
@@ -68,7 +68,7 @@ func (m *Mem) SwapInOwnerPages(owner uint32, n int64) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	if _, err := m.AllocPages(n, true, owner); err != nil {
+	if err := m.Alloc(n, true, owner); err != nil {
 		return 0, err
 	}
 	m.swappedPages[owner] -= n

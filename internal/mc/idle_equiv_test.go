@@ -94,11 +94,14 @@ func (s *idleScene) submitAt(at sim.Time, id uint64) {
 	s.eng.At(at, func() { s.submit(id) })
 }
 
+// report renders the completion log and the finalized controller's
+// writeStatsReport, then releases the controller.
 func (s *idleScene) report() string {
 	s.c.Finalize()
 	var b strings.Builder
 	b.WriteString(s.log.String())
 	writeStatsReport(&b, s.c)
+	s.c.Release()
 	return b.String()
 }
 
@@ -265,7 +268,8 @@ func idleEquivReport(t *testing.T, pd, sr sim.Time) string {
 }
 
 // TestIdleDescentEquivalenceGolden holds every policy's scenarios to the
-// timer-driven build's output.
+// timer-driven build's output. Each policy runs twice, the second time
+// on the read-latency buffers the first run's controllers released.
 func TestIdleDescentEquivalenceGolden(t *testing.T) {
 	for _, p := range idlePolicies() {
 		t.Run(p.name, func(t *testing.T) {
@@ -273,8 +277,10 @@ func TestIdleDescentEquivalenceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read golden: %v", err)
 			}
-			if got := idleEquivReport(t, p.pd, p.sr); got != string(want) {
-				t.Errorf("diverged from the timer-driven golden:\n%s", firstDiff(got, string(want)))
+			for run := 1; run <= 2; run++ {
+				if got := idleEquivReport(t, p.pd, p.sr); got != string(want) {
+					t.Fatalf("run %d diverged from the timer-driven golden:\n%s", run, firstDiff(got, string(want)))
+				}
 			}
 		})
 	}

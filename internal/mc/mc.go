@@ -12,6 +12,12 @@
 // point for power studies (cf. Ramulator's "simple" frontend), and it is
 // what the paper's claims depend on: who can idle, for how long, and what a
 // wake-up costs.
+//
+// Release contract: each channel's read-latency samples live in a capped
+// metrics.Distribution whose buffer comes from that package's pool.
+// Release returns the buffers once every report has been read; Stats
+// snapshots taken before it are detached copies and stay valid. A
+// released controller must not be driven or queried again.
 package mc
 
 import (
@@ -261,7 +267,8 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		chn := &channel{active: make([]*bank, 0, cfg.Org.RanksPerChannel()*cfg.Org.Banks())}
 		// Reads per run reach tens of millions; bound each channel's
 		// percentile storage (Mean/N stay exact — see
-		// metrics.Distribution.SetCap).
+		// metrics.Distribution.SetCap). The buffer is one a released
+		// controller returned to metrics' pool when one is there.
 		chn.stats.ReadLatency.SetCap(readLatencyCap)
 		for r := 0; r < cfg.Org.RanksPerChannel(); r++ {
 			rk := &rank{
@@ -825,6 +832,15 @@ func (c *Controller) Finalize() {
 		}
 	}
 	c.final = true
+}
+
+// Release returns every channel's read-latency buffer to metrics' pool
+// for the next controller (see the package comment). Call it after the
+// last report; a second call does nothing.
+func (c *Controller) Release() {
+	for _, ch := range c.channels {
+		ch.stats.ReadLatency.Release()
+	}
 }
 
 // accumulate folds another channel's counters into s (channel-index

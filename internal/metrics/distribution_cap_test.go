@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -103,5 +104,57 @@ func TestDistributionCappedAddNoAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("capped Add allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestDistributionRecycledBufferMatchesFresh: a capped Distribution
+// recording into the buffer another one released full and decimated
+// reports the same N, Mean and percentiles as one on a new buffer, at
+// every point of the stream: SetCap must start the buffer empty.
+func TestDistributionRecycledBufferMatchesFresh(t *testing.T) {
+	const max = 64
+	value := func(i int) float64 { return float64((i*2654435761 + 1) % 997) }
+	// Two collections empty the pool, so fresh gets a new buffer.
+	runtime.GC()
+	runtime.GC()
+	var fresh Distribution
+	fresh.SetCap(max)
+
+	var d Distribution
+	for try := 0; ; try++ {
+		var old Distribution
+		old.SetCap(max)
+		for i := 0; i < 5000; i++ {
+			old.Add(float64(1000 + i))
+		}
+		old.Percentile(50) // leave it sorted, too
+		buf := &old.samples[:1][0]
+		old.Release()
+		d = Distribution{}
+		d.SetCap(max)
+		if &d.samples[:1][0] == buf {
+			break
+		}
+		// The pool may drop a put value; the race detector does so on
+		// purpose.
+		if try == 20 {
+			t.Fatal("no SetCap took a released buffer in 20 tries")
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		fresh.Add(value(i))
+		d.Add(value(i))
+		if i%97 != 0 {
+			continue
+		}
+		if d.N() != fresh.N() || d.Mean() != fresh.Mean() {
+			t.Fatalf("after %d samples: N %d mean %g on the released buffer, N %d mean %g fresh",
+				i+1, d.N(), d.Mean(), fresh.N(), fresh.Mean())
+		}
+		for _, p := range []float64{0, 50, 95, 99, 100} {
+			if got, want := d.Percentile(p), fresh.Percentile(p); got != want {
+				t.Fatalf("after %d samples: P%g = %g on the released buffer, %g fresh", i+1, p, got, want)
+			}
+		}
 	}
 }

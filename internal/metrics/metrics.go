@@ -2,11 +2,18 @@
 // shares: time-weighted state-residency meters, latency distributions, and
 // time-weighted averages. They are deliberately allocation-light; the
 // controller updates them on every request.
+//
+// Release contract: a capped Distribution takes its sample buffer from a
+// package pool in SetCap, and Release returns it for the next SetCap,
+// which clears it by recording from length zero. Read percentiles before
+// Release: afterwards the Distribution retains no samples, and it must
+// not record again.
 package metrics
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"greendimm/internal/sim"
 )
@@ -135,22 +142,48 @@ func (d *Distribution) Reserve(n int) {
 	d.samples = s
 }
 
-// SetCap bounds retained samples at max and preallocates the buffer.
-// Once the buffer fills, every second retained sample is dropped in
-// place and the recording stride doubles, so a run of any length keeps
-// a deterministic, roughly uniformly spaced subset of at most max
-// samples for percentile queries. The subset depends only on the Add
-// sequence, never on timing. Mean and N stay exact; Max becomes the
-// largest retained sample. Call before recording; max <= 0 restores
+// samplePool holds the sample buffers of released capped Distributions.
+// Each simulated controller channel records into one, and a sweep builds
+// a controller per cell, so recycling them keeps a sweep's garbage from
+// growing with its cell count.
+var samplePool sync.Pool // of *[]float64, each empty
+
+// SetCap bounds retained samples at max and gives the Distribution a
+// buffer of that capacity, a released one from the pool when one is large
+// enough, else a new one. Once the buffer fills, every second retained
+// sample is dropped in place and the recording stride doubles, so a run
+// of any length keeps a deterministic, roughly uniformly spaced subset of
+// at most max samples for percentile queries. The subset depends only on
+// the Add sequence, never on timing. Mean and N stay exact; Max becomes
+// the largest retained sample. Call before recording; max <= 0 restores
 // retain-everything.
 func (d *Distribution) SetCap(max int) {
 	d.max = max
-	if max > 0 {
-		d.Reserve(max)
-		if d.stride == 0 {
-			d.stride = 1
+	if max <= 0 {
+		return
+	}
+	if d.samples == nil {
+		if buf, _ := samplePool.Get().(*[]float64); buf != nil && cap(*buf) >= max {
+			d.samples = *buf
 		}
 	}
+	d.Reserve(max)
+	if d.stride == 0 {
+		d.stride = 1
+	}
+}
+
+// Release returns a capped Distribution's sample buffer to the pool for
+// the next SetCap (see the package comment). It does nothing to an
+// uncapped Distribution, whose buffer did not come from the pool, or to
+// one already released.
+func (d *Distribution) Release() {
+	if d.max <= 0 || d.samples == nil {
+		return
+	}
+	buf := d.samples[:0]
+	samplePool.Put(&buf)
+	d.samples = nil
 }
 
 // Add records a sample.

@@ -90,7 +90,7 @@ func NewCore(eng *sim.Engine, mem *kernel.Mem, sub Submitter, cfg CoreConfig) (*
 	if pages == 0 {
 		pages = 1
 	}
-	if _, err := mem.AllocPages(pages, true, cfg.Owner); err != nil {
+	if err := mem.Alloc(pages, true, cfg.Owner); err != nil {
 		return nil, fmt.Errorf("workload: footprint allocation: %w", err)
 	}
 	return c, nil

@@ -109,10 +109,10 @@ func (f *FootprintDriver) adjust(progress float64) {
 	case have < targetPages:
 		// Partial success under pressure is fine: the curve retries next
 		// period.
-		if _, err := f.mem.AllocPages(targetPages-have, true, f.owner); err != nil {
+		if err := f.mem.Alloc(targetPages-have, true, f.owner); err != nil {
 			half := (targetPages - have) / 2
 			if half > 0 {
-				_, _ = f.mem.AllocPages(half, true, f.owner)
+				_ = f.mem.Alloc(half, true, f.owner)
 			}
 		}
 	case have > targetPages:

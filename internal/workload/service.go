@@ -64,9 +64,11 @@ type ServiceConfig struct {
 	Warmup sim.Time
 	Seed   int64
 	// SampleCap, when positive, bounds the retained response-time
-	// samples (metrics.Distribution.SetCap): the buffer is preallocated
-	// and long runs keep a deterministic decimated subset for
-	// percentiles while Mean/N stay exact. Zero retains every sample.
+	// samples (metrics.Distribution.SetCap): the buffer is sized up
+	// front, taken from metrics' pool when a released one is large
+	// enough (Latency().Release returns it), and long runs keep a
+	// deterministic decimated subset for percentiles while Mean/N stay
+	// exact. Zero retains every sample.
 	SampleCap int
 }
 
@@ -85,7 +87,7 @@ func NewService(eng *sim.Engine, mem *kernel.Mem, sub Submitter, cfg ServiceConf
 	if pages == 0 {
 		pages = 1
 	}
-	if _, err := mem.AllocPages(pages, true, cfg.Owner); err != nil {
+	if err := mem.Alloc(pages, true, cfg.Owner); err != nil {
 		return nil, fmt.Errorf("workload: service footprint: %w", err)
 	}
 	s := &Service{

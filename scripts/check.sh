@@ -26,16 +26,17 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm, cluster, metrics, power)"
+echo "==> alloc regression (engine, controller, workload, daemon, buddy, hotplug, ksm, cluster, metrics, power, boot-release, energy matrix)"
 # The request path's, the page allocator's, memory-block off-lining's,
 # the periodic daemons' (GreenDIMM's monitor tick, ksmd's scan wake-up),
 # a capped metrics.Distribution's and power accounting's (FromActivity)
-# zero-allocation contracts, and the cluster dispatcher's allocation
-# ceiling, asserted as tests so a regression fails the gate, not just a
-# benchmark readout. Run WITHOUT the race
+# zero-allocation contracts, the cluster dispatcher's allocation
+# ceiling, and the byte ceilings of a recycled machine boot and of a
+# quick fig9 regeneration, asserted as tests so a regression fails the
+# gate, not just a benchmark readout. Run WITHOUT the race
 # detector: AllocsPerRun must count only the code's own allocations, and
 # these same tests also run race-instrumented in the repo-wide pass below.
-go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/ ./internal/cluster/ ./internal/metrics/ ./internal/power/
+go test -run 'Alloc|SteadyState' ./internal/sim/ ./internal/mc/ ./internal/workload/ ./internal/core/ ./internal/kernel/ ./internal/hotplug/ ./internal/ksm/ ./internal/cluster/ ./internal/metrics/ ./internal/power/ ./internal/exp/
 
 echo "==> fuzz engine tie-break, journal snapshot restore and peer responses (10s each)"
 # The engine's equal-time ordering and its reserved-key answers (Passed,
