@@ -15,17 +15,22 @@
 // every backend is down. Results are byte-identical to local runs — the
 // dispatcher verifies this whenever a spec executes more than once.
 //
-// With -memo-dir, local registry runs journal into that directory the
-// way greendimmd journals jobs into its -store-dir: each experiment is
-// one job record holding the sweep cells the run resolved. The next
-// invocation warms its memo from every journaled cell, so repeated
-// quick iterations skip the shared baselines, and the directory is a
-// valid greendimmd -store-dir that boots warm (and resumes a run that
-// was cut off).
+// Every mode builds a list of job specs — -experiment one per selected
+// experiment, the same specs greendimmd accepts — and validates them all
+// before the first runs. Without -backends each spec then runs on
+// greendimmd's in-process runner at its own parallelism, against one memo
+// for the whole invocation, and its report prints as it finishes.
 //
-// -seed 0 is rejected: a job spec's seed 0 means seed 1, so the spec
-// paths (-trace-out, -backends, the -memo-dir journal) could not name
-// the seed the local registry path would run.
+// With -memo-dir, local runs journal into that directory the way
+// greendimmd journals jobs into its -store-dir: each spec is one job
+// record holding the sweep cells the run resolved. The next invocation
+// warms its memo from every journaled cell, so repeated quick iterations
+// skip the shared baselines, and the directory is a valid greendimmd
+// -store-dir that boots warm (and resumes a run that was cut off).
+// -memo-dir journals local runs only: with -backends it exits 2.
+//
+// -seed 0 is rejected: a job spec's seed 0 means seed 1, so no spec,
+// trace or journal record could name seed 0.
 package main
 
 import (
@@ -72,6 +77,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *memoDir != "" && *backends != "" {
+		fmt.Fprintln(os.Stderr, "-memo-dir journals local runs; it cannot be combined with -backends")
+		os.Exit(2)
+	}
+	urls := splitURLs(*backends)
+	if *backends != "" && len(urls) == 0 {
+		fmt.Fprintln(os.Stderr, "-backends is set but holds no URLs")
+		os.Exit(2)
+	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -79,6 +93,8 @@ func main() {
 		}
 	}
 
+	var labels []string
+	var specs []server.JobSpec
 	switch {
 	case *policyFile != "":
 		pc, err := server.LoadPolicyConfig(*policyFile)
@@ -88,25 +104,32 @@ func main() {
 		}
 		spec := pc.JobSpec()
 		spec.Parallelism = *parallel
-		runSpecs(os.Stdout, []string{"policy:" + pc.Policy.Fingerprint()}, []server.JobSpec{spec},
-			*backends, *hedgeAfter, *csvDir, *traceOut)
+		labels, specs = []string{"policy:" + pc.Policy.Fingerprint()}, []server.JobSpec{spec}
 	case *specFile != "":
-		specs, err := loadSpecs(*specFile)
-		if err != nil {
+		var err error
+		if specs, err = loadSpecs(*specFile); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		runSpecs(os.Stdout, specLabels(specs), specs, *backends, *hedgeAfter, *csvDir, *traceOut)
-	case *backends != "" || *traceOut != "":
-		// Tracing needs the spec path: runSpecs threads an obs.Trace
-		// through execution, which the registry path has no seam for.
-		labels, specs := experimentSpecs(*which, *quick, *seed, *parallel)
-		runSpecs(os.Stdout, labels, specs, *backends, *hedgeAfter, *csvDir, *traceOut)
+		labels = specLabels(specs)
 	default:
-		opts := exp.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
-		journal, closeJournal := openMemoDir(*memoDir, &opts)
-		runLocalRegistry(os.Stdout, *which, opts, *csvDir, journal)
-		closeJournal()
+		labels, specs = experimentSpecs(*which, *quick, *seed, *parallel)
+	}
+	for i, spec := range specs {
+		norm, err := spec.Normalize()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", labels[i], err)
+			os.Exit(2)
+		}
+		specs[i] = norm
+	}
+
+	memo, journal, closeJournal := openMemoDir(*memoDir)
+	err := runSpecs(os.Stdout, labels, specs, urls, *hedgeAfter, localRunner(memo, journal), *csvDir, *traceOut)
+	closeJournal()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -121,65 +144,69 @@ func checkFlags(seed int64, parallel int) error {
 	return nil
 }
 
-// openMemoDir opens dir as a job journal, warms a fresh memo in
-// opts.Memo from every cell the journal retains, and returns the
-// journal with the function that closes it. With an empty dir it
-// returns a nil journal and a no-op: runLocalRegistry then builds its
-// own in-memory memo. The memo imports cells through the same verified
-// codec the daemon's boot uses (server.WarmMemo).
-func openMemoDir(dir string, opts *exp.Options) (*store.Store, func()) {
+// openMemoDir builds the invocation's one memo: with -experiment all,
+// figures that share baseline cells (fig12/fig13's traced day, the block
+// sweep's dynamics runs) compute them once. It is unbounded: all of
+// -experiment all -quick resolves 112 keys. With a dir it also opens dir
+// as a job journal and warms the memo from every cell the journal
+// retains, through the verified codec the daemon's boot uses
+// (server.WarmMemo), and returns the journal with the function that
+// closes it; without one the journal is nil and the function a no-op.
+func openMemoDir(dir string) (*sweep.Memo, *store.Store, func()) {
+	memo := sweep.NewMemo(0)
+	memo.SetCodec(exp.MemoCodec())
 	if dir == "" {
-		return nil, func() {}
+		return memo, nil, func() {}
 	}
 	journal, err := store.Open(dir, store.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	memo := sweep.NewMemo(0)
-	memo.SetCodec(exp.MemoCodec())
 	if n := server.WarmMemo(memo, journal); n > 0 {
 		fmt.Fprintf(os.Stderr, "memo: %d entries loaded from %s\n", n, dir)
 	}
-	opts.Memo = memo
 	before := len(journal.Cells())
-	return journal, func() {
-		if n := len(journal.Cells()) - before; n > 0 {
-			fmt.Fprintf(os.Stderr, "memo: %d new cells journaled to %s\n", n, dir)
-		}
+	return memo, journal, func() {
+		fmt.Fprintf(os.Stderr, "memo: %d cells computed, %d new cells journaled to %s\n",
+			memo.Computes(), len(journal.Cells())-before, dir)
 		if err := journal.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "memo: closing %s: %v\n", dir, err)
 		}
 	}
 }
 
-// runJournaled runs one registry experiment. With a journal it records
-// the run the way greendimmd records a job in its store: Accept under
-// the experiment spec's hash, each cell the run resolves through
-// PutCell, then Finish, merged or failed. A run cut off before Finish
-// (Ctrl-C) leaves its record accepted, as a crash leaves a daemon's
-// job: greendimmd started on the directory resumes it from its
-// journaled cells, and the next run of the experiment finishes it. A
-// failed journal write is reported and never fails the run: the
-// journal only saves later work.
-func runJournaled(journal *store.Store, id string, fn exp.Runner, opts exp.Options) ([]*report.Table, []report.Series, error) {
-	if journal == nil {
-		return fn(opts)
+// localRunner returns greendimmd's in-process runner over memo. Its
+// budget of MaxJobParallelism extra sweep workers never throttles a
+// spec, so each runs at its own parallelism. A non-nil journal records
+// each run (runJournaled).
+func localRunner(memo *sweep.Memo, journal *store.Store) func(server.JobSpec, server.RunHooks) (*server.Result, error) {
+	run := server.Config{Workers: 1, CPUBudget: 1 + server.MaxJobParallelism, Memo: memo}.BaseRunner()
+	return func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
+		return runJournaled(journal, spec, h, run)
 	}
-	spec, err := server.JobSpec{
-		Kind:       server.KindExperiment,
-		Experiment: &server.ExperimentSpec{ID: id, Quick: opts.Quick, Seed: opts.Seed},
-	}.Normalize()
-	if err != nil {
-		return nil, nil, err
+}
+
+// runJournaled runs one normalized spec on run. With a journal it
+// records the run the way greendimmd's execute records a job in its
+// store: Accept under the spec's hash, each cell the run resolves
+// through RunHooks.CellObserved into PutCell, then Finish, merged or
+// failed. A run cut off before Finish (Ctrl-C) leaves its record
+// accepted, as a crash leaves a daemon's job: greendimmd started on the
+// directory resumes it from its journaled cells, and the next run of
+// the spec finishes it. A failed journal write is reported and never
+// fails the run: the journal only saves later work.
+func runJournaled(journal *store.Store, spec server.JobSpec, h server.RunHooks, run func(server.JobSpec, server.RunHooks) (*server.Result, error)) (*server.Result, error) {
+	if journal == nil {
+		return run(spec, h)
 	}
 	hash, err := server.SpecHash(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	warn := func(err error) {
 		if err != nil {
@@ -187,117 +214,70 @@ func runJournaled(journal *store.Store, id string, fn exp.Runner, opts exp.Optio
 		}
 	}
 	warn(journal.Accept(hash, raw))
-	opts.CellSink = func(a exp.CellArtifact) { warn(journal.PutCell(hash, a.Key, a.Value)) }
-	tables, series, err := fn(opts)
+	h.CellObserved = func(a exp.CellArtifact) { warn(journal.PutCell(hash, a.Key, a.Value)) }
+	res, err := run(spec, h)
 	if err != nil {
 		warn(journal.Finish(hash, store.StateFailed, err.Error()))
-		return nil, nil, err
+		return nil, err
 	}
 	warn(journal.Finish(hash, store.StateMerged, ""))
-	return tables, series, nil
+	return res, nil
 }
 
-// runLocalRegistry is the classic in-process path: each experiment runs
-// on this machine's registry runner, its report printed to w. A non-nil
-// journal (-memo-dir) records each run (runJournaled).
-func runLocalRegistry(w io.Writer, which string, opts exp.Options, csvDir string, journal *store.Store) {
-	experiments := exp.Registry()
-	// One memo across the whole selection: with -experiment all, figures
-	// that share baseline cells (fig12/fig13's traced day, the block
-	// sweep's dynamics runs) compute them once. Result-neutral — see
-	// exp.Options.Memo.
-	if opts.Memo == nil {
-		opts.Memo = sweep.NewMemo(0)
-	}
-	for _, id := range experimentIDs(which) {
-		fn, ok := experiments[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, known())
-			os.Exit(2)
-		}
-		fmt.Fprintf(w, "=== %s ===\n", id)
-		tables, series, err := runJournaled(journal, id, fn, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
-		for ti, t := range tables {
-			fmt.Fprintln(w, t)
-			if err := maybeCSV(csvDir, id, ti, t); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		for _, s := range series {
-			fmt.Fprintf(w, "  %-10s %s\n", s.Name, s.Sparkline(64))
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// runSpecs executes job specs — remotely when backends are given, else
-// in-process via server.Execute — and prints each report to w the way
-// the local path does. With traceOut, each spec records an execution trace
-// and the labeled set is written there as JSON.
-func runSpecs(w io.Writer, labels []string, specs []server.JobSpec, backends string, hedgeAfter time.Duration, csvDir, traceOut string) {
-	var traces []*obs.Trace
+// runSpecs runs normalized specs and prints each report to w: across
+// the backends at urls through the cluster dispatcher when any are
+// given, else one by one on run, each report printed as it finishes.
+// With traceOut, each spec records an execution trace and the labeled
+// set is written there as JSON.
+func runSpecs(w io.Writer, labels []string, specs []server.JobSpec, urls []string, hedgeAfter time.Duration,
+	run func(server.JobSpec, server.RunHooks) (*server.Result, error), csvDir, traceOut string) error {
+	traces := make([]*obs.Trace, len(specs))
 	if traceOut != "" {
-		traces = make([]*obs.Trace, len(specs))
 		for i := range traces {
 			traces[i] = obs.NewTrace(0)
 		}
 	}
-	var results []*server.Result
-	if backends != "" {
-		urls := splitURLs(backends)
-		if len(urls) == 0 {
-			fmt.Fprintln(os.Stderr, "-backends is set but holds no URLs")
-			os.Exit(2)
+	report := func(i int, res *server.Result) error {
+		fmt.Fprintf(w, "=== %s ===\n%s\n", labels[i], res.Text)
+		for ti, t := range res.Tables {
+			if err := maybeCSV(csvDir, labels[i], ti, t); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	if len(urls) > 0 {
 		pool := cluster.NewPool(urls, cluster.PoolConfig{})
 		pool.Start()
 		defer pool.Stop()
 		d := cluster.NewDispatcher(pool, cluster.Options{HedgeAfter: hedgeAfter})
-		var err error
-		results, err = d.RunTraced(context.Background(), specs, traces)
+		results, err := d.RunTraced(context.Background(), specs, traces)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		c := d.Counters()
 		fmt.Fprintf(os.Stderr, "cluster: %d submitted, %d retries, %d failovers, %d hedges (%d won), %d local\n",
 			c.Submitted, c.Retries, c.Failovers, c.Hedges, c.HedgeWins, c.LocalRuns)
+		for i, res := range results {
+			if err := report(i, res); err != nil {
+				return err
+			}
+		}
 	} else {
 		for i, spec := range specs {
-			var h server.RunHooks
-			if traces != nil {
-				h.Trace = traces[i]
-			}
-			res, err := server.Execute(spec, h)
+			res, err := run(spec, server.RunHooks{Trace: traces[i]})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", labels[i], err)
-				os.Exit(1)
+				return fmt.Errorf("%s: %w", labels[i], err)
 			}
-			results = append(results, res)
-		}
-	}
-	if traceOut != "" {
-		if err := writeTraces(traceOut, labels, traces); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	for i, res := range results {
-		fmt.Fprintf(w, "=== %s ===\n", labels[i])
-		fmt.Fprint(w, res.Text)
-		fmt.Fprintln(w)
-		for ti, t := range res.Tables {
-			if err := maybeCSV(csvDir, labels[i], ti, t); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := report(i, res); err != nil {
+				return err
 			}
 		}
 	}
+	if traceOut == "" {
+		return nil
+	}
+	return writeTraces(traceOut, labels, traces)
 }
 
 // writeTraces dumps the label → trace map as indented JSON.
@@ -313,48 +293,34 @@ func writeTraces(path string, labels []string, traces []*obs.Trace) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// experimentIDs resolves -experiment to a sorted, deduplicated id list.
-func experimentIDs(which string) []string {
-	ids := []string{which}
-	if which == "all" {
-		ids = exp.CanonicalExperiments() // deduplicate the aliases that share one run
-	}
-	sort.Strings(ids)
-	out := ids[:0]
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// experimentSpecs turns the CLI's experiment selection into job specs.
-// A parallel of 0 takes the registry path's width, all CPUs, since a
-// spec's own 0 means a serial sweep.
+// experimentSpecs turns the CLI's experiment selection into job specs
+// labeled by id, sorted; all is one id per underlying run, without the
+// aliases. A parallel of 0 means all CPUs, since a spec's own 0 means a
+// serial sweep.
 func experimentSpecs(which string, quick bool, seed int64, parallel int) ([]string, []server.JobSpec) {
 	if parallel == 0 {
 		parallel = runtime.NumCPU()
 	}
 	parallel = min(parallel, server.MaxJobParallelism)
+	ids := []string{which}
+	if which == "all" {
+		ids = exp.CanonicalExperiments()
+		sort.Strings(ids)
+	}
 	experiments := exp.Registry()
-	var labels []string
-	var specs []server.JobSpec
-	for _, id := range experimentIDs(which) {
+	specs := make([]server.JobSpec, len(ids))
+	for i, id := range ids {
 		if _, ok := experiments[id]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, known())
 			os.Exit(2)
 		}
-		labels = append(labels, id)
-		specs = append(specs, server.JobSpec{
+		specs[i] = server.JobSpec{
 			Kind:        server.KindExperiment,
 			Experiment:  &server.ExperimentSpec{ID: id, Quick: quick, Seed: seed},
 			Parallelism: parallel,
-		})
+		}
 	}
-	return labels, specs
+	return ids, specs
 }
 
 // loadSpecs reads a spec file holding one JSON spec object or an array.

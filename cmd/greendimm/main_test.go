@@ -5,13 +5,11 @@ import (
 	"context"
 	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
-	"greendimm/internal/exp"
 	"greendimm/internal/report"
 	"greendimm/internal/server"
 	"greendimm/internal/store"
@@ -119,16 +117,19 @@ func TestMemoDirWarmsSecondRun(t *testing.T) {
 	}
 }
 
-// runMemoDir runs the registry path on -memo-dir dir and returns the
-// report and the memo the run used.
+// runMemoDir runs the quick experiment specs of which on -memo-dir dir
+// and returns the report and the memo the run used.
 func runMemoDir(t *testing.T, dir, which string) (string, *sweep.Memo) {
 	t.Helper()
-	opts := exp.Options{Quick: true, Seed: 1, Parallelism: 2}
-	journal, closeJournal := openMemoDir(dir, &opts)
+	memo, journal, closeJournal := openMemoDir(dir)
+	labels, specs := experimentSpecs(which, true, 1, 2)
 	var out bytes.Buffer
-	runLocalRegistry(&out, which, opts, "", journal)
+	err := runSpecs(&out, labels, specs, nil, 0, localRunner(memo, journal), "", "")
 	closeJournal()
-	return out.String(), opts.Memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), memo
 }
 
 // TestMemoDirIsAStoreDir opens -memo-dir directories as greendimmd's
@@ -162,13 +163,15 @@ func TestMemoDirIsAStoreDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cut := func(o exp.Options) ([]*report.Table, []report.Series, error) {
-			exp.Registry()["tab3"](o)
+		run := server.Config{}.BaseRunner()
+		cut := func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
+			run(spec, h)
 			panic("interrupted")
 		}
+		spec, _ := quickSpec(t, "tab3")
 		func() {
 			defer func() { recover() }()
-			runJournaled(journal, "tab3", cut, exp.Options{Quick: true, Seed: 1, Memo: sweep.NewMemo(0)})
+			runJournaled(journal, spec, server.RunHooks{}, cut)
 		}()
 		if err := journal.Close(); err != nil {
 			t.Fatal(err)
@@ -185,22 +188,12 @@ func TestMemoDirIsAStoreDir(t *testing.T) {
 	})
 }
 
-// TestSeedZeroRejected: a spec's seed 0 is seed 1, so the registry path
-// would run a seed that -trace-out, -backends and the -memo-dir journal
-// cannot name. greendimm exits 2 on -seed 0 before running anything,
-// as it does on a negative -parallel.
+// TestSeedZeroRejected: a spec's seed 0 is seed 1, so no spec, trace or
+// -memo-dir journal record could name seed 0. greendimm exits 2 on
+// -seed 0 before running anything, as it does on a negative -parallel.
 func TestSeedZeroRejected(t *testing.T) {
-	if os.Getenv("GREENDIMM_TEST_MAIN") == "1" {
-		os.Args = []string{"greendimm", "-experiment", "fig8", "-quick", "-seed", "0"}
-		main()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestSeedZeroRejected$")
-	cmd.Env = append(os.Environ(), "GREENDIMM_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-seed must be nonzero") {
-		t.Fatalf("greendimm -seed 0: %v, output:\n%s\nwant exit status 2 with a -seed error", err, out)
+	if _, stderr, code := greendimm(t, "-experiment", "fig8", "-quick", "-seed", "0"); code != 2 || !strings.Contains(stderr, "-seed must be nonzero") {
+		t.Fatalf("greendimm -seed 0: exit %d, stderr:\n%s\nwant exit status 2 with a -seed error", code, stderr)
 	}
 
 	if err := checkFlags(1, -1); err == nil || !strings.Contains(err.Error(), "-parallel") {
@@ -221,13 +214,10 @@ func TestRunJournaledRecordsFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer journal.Close()
-	fail := func(exp.Options) ([]*report.Table, []report.Series, error) { return nil, nil, errors.New("boom") }
-	if _, _, err := runJournaled(journal, "tab3", fail, exp.Options{Quick: true, Seed: 1}); err == nil {
+	fail := func(server.JobSpec, server.RunHooks) (*server.Result, error) { return nil, errors.New("boom") }
+	spec, hash := quickSpec(t, "tab3")
+	if _, err := runJournaled(journal, spec, server.RunHooks{}, fail); err == nil {
 		t.Fatal("runJournaled hid the run's error")
-	}
-	hash, err := server.SpecHash(server.JobSpec{Kind: server.KindExperiment, Experiment: &server.ExperimentSpec{ID: "tab3", Quick: true, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if rec, ok := journal.Get(hash); !ok || rec.State != store.StateFailed || rec.Err != "boom" {
 		t.Fatalf("record = %+v (found %v), want failed with the run's error", rec, ok)
@@ -237,9 +227,8 @@ func TestRunJournaledRecordsFailure(t *testing.T) {
 	}
 }
 
-// TestExperimentSpecsParallelism: -parallel 0 means all CPUs on the spec
-// path too (a spec's 0 is a serial sweep), capped at the spec bound, and
-// the spec path prints what the registry path prints.
+// TestExperimentSpecsParallelism: -parallel 0 means all CPUs (a spec's
+// 0 is a serial sweep), capped at the spec bound.
 func TestExperimentSpecsParallelism(t *testing.T) {
 	for _, c := range []struct{ flag, want int }{
 		{0, min(runtime.NumCPU(), server.MaxJobParallelism)},
@@ -251,13 +240,5 @@ func TestExperimentSpecsParallelism(t *testing.T) {
 		if got := specs[0].Parallelism; got != c.want {
 			t.Errorf("-parallel %d: spec parallelism %d, want %d", c.flag, got, c.want)
 		}
-	}
-
-	var registry, spec bytes.Buffer
-	runLocalRegistry(&registry, "fig8", exp.Options{Quick: true, Seed: 1}, "", nil)
-	labels, specs := experimentSpecs("fig8", true, 1, 0)
-	runSpecs(&spec, labels, specs, "", 0, "", "")
-	if spec.String() != registry.String() {
-		t.Fatalf("spec path printed\n%s\nregistry path printed\n%s", spec.String(), registry.String())
 	}
 }

@@ -60,11 +60,9 @@ type Counters struct {
 	// on a peer.
 	ProxiedJobs atomic.Int64
 	// ShardJobs counts jobs a ShardRunner fanned out as cell-range
-	// shards; Shards counts individual range executions (reshard halves
-	// included); ShardRetries counts failed ranges that re-sharded.
-	ShardJobs    atomic.Int64
-	Shards       atomic.Int64
-	ShardRetries atomic.Int64
+	// shards; Shards counts individual range executions.
+	ShardJobs atomic.Int64
+	Shards    atomic.Int64
 
 	// AttemptSeconds, when non-nil, observes the wall latency of every
 	// backend attempt the dispatcher makes — primaries, hedges, and
@@ -75,17 +73,16 @@ type Counters struct {
 
 // CounterSnapshot is one consistent read of a Counters.
 type CounterSnapshot struct {
-	Submitted    int64 `json:"submitted"`
-	Retries      int64 `json:"retries"`
-	Failovers    int64 `json:"failovers"`
-	Hedges       int64 `json:"hedges"`
-	HedgeWins    int64 `json:"hedge_wins"`
-	LocalRuns    int64 `json:"local_runs"`
-	Divergences  int64 `json:"divergences"`
-	ProxiedJobs  int64 `json:"proxied_jobs"`
-	ShardJobs    int64 `json:"shard_jobs,omitempty"`
-	Shards       int64 `json:"shards,omitempty"`
-	ShardRetries int64 `json:"shard_retries,omitempty"`
+	Submitted   int64 `json:"submitted"`
+	Retries     int64 `json:"retries"`
+	Failovers   int64 `json:"failovers"`
+	Hedges      int64 `json:"hedges"`
+	HedgeWins   int64 `json:"hedge_wins"`
+	LocalRuns   int64 `json:"local_runs"`
+	Divergences int64 `json:"divergences"`
+	ProxiedJobs int64 `json:"proxied_jobs"`
+	ShardJobs   int64 `json:"shard_jobs,omitempty"`
+	Shards      int64 `json:"shards,omitempty"`
 
 	// Attempt-latency summary from AttemptSeconds (zero when the
 	// histogram is unset or empty).
@@ -97,17 +94,16 @@ type CounterSnapshot struct {
 // Snapshot reads every counter.
 func (c *Counters) Snapshot() CounterSnapshot {
 	s := CounterSnapshot{
-		Submitted:    c.Submitted.Load(),
-		Retries:      c.Retries.Load(),
-		Failovers:    c.Failovers.Load(),
-		Hedges:       c.Hedges.Load(),
-		HedgeWins:    c.HedgeWins.Load(),
-		LocalRuns:    c.LocalRuns.Load(),
-		Divergences:  c.Divergences.Load(),
-		ProxiedJobs:  c.ProxiedJobs.Load(),
-		ShardJobs:    c.ShardJobs.Load(),
-		Shards:       c.Shards.Load(),
-		ShardRetries: c.ShardRetries.Load(),
+		Submitted:   c.Submitted.Load(),
+		Retries:     c.Retries.Load(),
+		Failovers:   c.Failovers.Load(),
+		Hedges:      c.Hedges.Load(),
+		HedgeWins:   c.HedgeWins.Load(),
+		LocalRuns:   c.LocalRuns.Load(),
+		Divergences: c.Divergences.Load(),
+		ProxiedJobs: c.ProxiedJobs.Load(),
+		ShardJobs:   c.ShardJobs.Load(),
+		Shards:      c.Shards.Load(),
 	}
 	if h := c.AttemptSeconds; h.Count() > 0 {
 		s.AttemptCount = h.Count()

@@ -14,22 +14,20 @@ import (
 // This file implements cell-range shard execution: splitting one
 // matrix-shaped job into contiguous cell-range shards [lo,hi) over its
 // sweep index, running each shard on a peer through the dispatcher's
-// full failover/hedging ladder, and merging the shards' artifacts into
-// the single report the job would have produced on one node. The merge
-// is byte-identical by construction: shards return canonical cell
+// failover ladder (hedged only when the dispatcher's HedgeAfter is set,
+// which greendimmd leaves at zero), and merging the shards' artifacts
+// into the single report the job would have produced on one node. The
+// merge is byte-identical by construction: shards return canonical cell
 // artifacts (pure functions of the spec hash), and the merge re-runs
 // the full spec locally with those artifacts imported into its memo
 // (codec-verified) — every heavy cell replays as a memo hit, only cheap
-// rendering recomputes.
+// rendering recomputes. No shard result is cross-checked against a
+// second copy unless a hedge produced one.
 //
-// Failed shards re-shard: the range halves and each half retries
-// through the ladder, down to maxReshard levels, so one poisoned range
-// (a flaky peer, a too-big shard hitting queue limits) degrades to
-// smaller work items instead of failing the job.
-
-// maxReshard bounds how many times a failed range halves before the job
-// fails: a shard degrades to quarters at worst.
-const maxReshard = 2
+// A shard that every peer fails runs on Exec, the ladder's last rung,
+// and a shard that fails there fails the job. Retrying it in smaller
+// ranges would not help: a local failure is a deterministic cell error,
+// which the range holding that cell hits again, or a stopped job.
 
 // ShardOptions tunes a ShardRunner. CellsPerShard and Exec are
 // required; other zero values take defaults. Shards place by load: each
@@ -157,15 +155,14 @@ func (r *ShardRunner) Run(spec server.JobSpec, h server.RunHooks) (*server.Resul
 
 // runShards executes the planned ranges concurrently (bounded by the
 // dispatcher's concurrency), delivering each completed shard's cells
-// through h.CellObserved before journaling its range done, and halving
-// failed ranges up to maxReshard levels. It returns every collected
-// artifact for the merge to replay.
+// through h.CellObserved before journaling its range done. It returns
+// every collected artifact for the merge to replay.
 func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned [][2]int) ([]exp.CellArtifact, error) {
 	ctx, cancel := stopContext(h.Stop)
 	defer cancel()
 
 	// Collected artifacts feed the merge; the mutex serializes appends
-	// from concurrent shards (and concurrent halves of a reshard).
+	// from concurrent shards.
 	var mu sync.Mutex
 	var collected []exp.CellArtifact
 	collect := func(arts []exp.CellArtifact) {
@@ -188,7 +185,7 @@ func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned 
 				errs[i] = ctx.Err()
 				return
 			}
-			errs[i] = r.runRange(ctx, spec, h, collect, lo, hi, 0)
+			errs[i] = r.runRange(ctx, spec, h, collect, lo, hi)
 		}(i, p[0], p[1])
 	}
 	wg.Wait()
@@ -201,44 +198,30 @@ func (r *ShardRunner) runShards(spec server.JobSpec, h server.RunHooks, planned 
 }
 
 // runRange executes one cell range through the dispatcher's ladder
-// (failover, hedging, then Exec as the local fallback). If even the
-// ladder fails it halves the range and retries each half, depth levels
-// down.
-func (r *ShardRunner) runRange(ctx context.Context, spec server.JobSpec, h server.RunHooks, collect func([]exp.CellArtifact), lo, hi, depth int) error {
+// (failover, then Exec as the local fallback).
+func (r *ShardRunner) runRange(ctx context.Context, spec server.JobSpec, h server.RunHooks, collect func([]exp.CellArtifact), lo, hi int) error {
 	shardSpec := spec
 	shardSpec.Cells = &server.CellRangeSpec{Lo: lo, Hi: hi}
 	r.ctr.Shards.Add(1)
 	sp := h.Trace.StartArg("shard", fmt.Sprintf("[%d,%d)", lo, hi))
 	res, _, err := r.d.runOne(ctx, shardSpec, h.Trace, r.local)
 	sp.EndErr(err)
-	if err == nil {
-		collect(res.Cells)
-		// Journal order matters: every cell lands before the range is
-		// marked done, so a recovered journal never trusts a range whose
-		// artifacts are missing.
-		if h.CellObserved != nil {
-			for _, a := range res.Cells {
-				h.CellObserved(a)
-			}
+	if err != nil {
+		return err
+	}
+	collect(res.Cells)
+	// Journal order matters: every cell lands before the range is
+	// marked done, so a recovered journal never trusts a range whose
+	// artifacts are missing.
+	if h.CellObserved != nil {
+		for _, a := range res.Cells {
+			h.CellObserved(a)
 		}
-		if h.Ranges != nil && h.Ranges.OnDone != nil {
-			h.Ranges.OnDone(lo, hi)
-		}
-		return nil
 	}
-	if ctx.Err() != nil {
-		return err
+	if h.Ranges != nil && h.Ranges.OnDone != nil {
+		h.Ranges.OnDone(lo, hi)
 	}
-	if depth >= maxReshard || hi-lo < 2 {
-		return err
-	}
-	r.ctr.ShardRetries.Add(1)
-	h.Trace.Mark("reshard", fmt.Sprintf("[%d,%d) depth %d", lo, hi, depth+1))
-	mid := lo + (hi-lo)/2
-	if err := r.runRange(ctx, spec, h, collect, lo, mid, depth+1); err != nil {
-		return err
-	}
-	return r.runRange(ctx, spec, h, collect, mid, hi, depth+1)
+	return nil
 }
 
 // complementRanges returns the gaps of done within [0, total). done may

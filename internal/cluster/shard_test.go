@@ -210,55 +210,6 @@ func TestShardJournalFlow(t *testing.T) {
 	checkJournaledOnce(t, dir, 12)
 }
 
-// TestShardReshardOnFailure fault-injects width: every path — both
-// backends and the shard runner's Exec, the ladder's local fallback —
-// fails shards wider than 3 cells, so the initial [0,12) shard must
-// halve twice before its four width-3 quarters succeed.
-func TestShardReshardOnFailure(t *testing.T) {
-	want := mustFingerprint(t, localExec(t, shardSpec()))
-	tooWide := func(spec server.JobSpec) bool {
-		return spec.Cells != nil && spec.Cells.Hi-spec.Cells.Lo > 3
-	}
-	failWide := func(spec server.JobSpec, h server.RunHooks) (*server.Result, error) {
-		if tooWide(spec) {
-			return nil, fmt.Errorf("injected: shard too wide")
-		}
-		return server.Execute(spec, h)
-	}
-	ctr := &Counters{}
-	var urls []string
-	for i := 0; i < 2; i++ {
-		hs, _ := newBackend(t, server.Config{Workers: 2, QueueDepth: 16, Runner: failWide})
-		urls = append(urls, hs.URL)
-	}
-	pool := NewPool(urls, PoolConfig{Client: fastClient(ctr)})
-	d := NewDispatcher(pool, Options{Counters: ctr})
-	// Exec is the ladder's last rung for a shard: it must reject wide
-	// shards too, or it would absorb the failure before resharding could.
-	// The merge carries no range, so it runs.
-	sr, err := NewShardRunner(d, ShardOptions{
-		CellsPerShard: 12,
-		MinCells:      1,
-		Exec:          failWide,
-		Counters:      ctr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sr.Run(shardSpec(), server.RunHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustFingerprint(t, res); got != want {
-		t.Fatal("resharded report diverged from single-node run")
-	}
-	// [0,12) fails, halves to [0,6)+[6,12), both fail, each halves to
-	// width-3 quarters that succeed: 7 range executions, 3 reshards.
-	if s, rs := ctr.Shards.Load(), ctr.ShardRetries.Load(); s != 7 || rs != 3 {
-		t.Fatalf("shards=%d reshards=%d, want 7/3", s, rs)
-	}
-}
-
 // TestShardFallbackRunsOnExec: with every peer down, each shard falls
 // back to the runner's Exec, the daemon's own runner with its limiter
 // and shared memo, not to a throwaway in-process run. Exec's memo holds

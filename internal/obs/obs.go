@@ -132,15 +132,6 @@ func (h SpanHandle) EndErr(err error) {
 	h.t.record(h.name, h.arg, h.start, h.t.since()-h.start, msg)
 }
 
-// EndMsg records the span with a literal error message ("" for none) —
-// for outcomes that are not error values, like an abandoned attempt.
-func (h SpanHandle) EndMsg(msg string) {
-	if h.t == nil {
-		return
-	}
-	h.t.record(h.name, h.arg, h.start, h.t.since()-h.start, msg)
-}
-
 // Add records a completed span from explicit wall-clock endpoints — for
 // intervals measured before the recording site runs, like queue wait
 // (submit time → execution start).

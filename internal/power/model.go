@@ -173,11 +173,6 @@ func (m *Model) RefEnergyJ(dpdFrac float64) float64 {
 	return full * (1 - dpdFrac)
 }
 
-// SelfRefreshRefreshW is zero: IDD6 already folds the internal refresh
-// current into the self-refresh background, so no per-REF energy is added
-// for ranks in self-refresh. Exposed as documentation-by-API.
-func (m *Model) SelfRefreshRefreshW() float64 { return 0 }
-
 // DIMMStaticTotalW is the static power of all DIMMs in the system.
 func (m *Model) DIMMStaticTotalW() float64 {
 	return m.DIMMStaticW * float64(m.Org.Channels*m.Org.DIMMsPerChannel)

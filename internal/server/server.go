@@ -103,8 +103,9 @@ type Config struct {
 	MemoEntries int
 
 	// Memo, when non-nil, is the shared baseline-cell memo itself —
-	// for callers (cmd/greendimmd) that must hand the same instance to
-	// both the server and the shard runner's local executor. Nil lets
+	// for callers that build it: cmd/greendimmd hands the same instance
+	// to both the server and the shard runner's local executor, and
+	// cmd/greendimm warms an unbounded one from -memo-dir. Nil lets
 	// the server build one from MemoEntries via NewMemo.
 	Memo *sweep.Memo
 
@@ -220,11 +221,13 @@ func (c Config) baseRunner() func(JobSpec, RunHooks) (*Result, error) {
 }
 
 // BaseRunner returns the execution function this config would install
-// when Runner is nil — for callers (cmd/greendimmd) that compose a
-// wrapper, e.g. the cluster's shard runner, around the real simulator
-// while keeping the config's limiter/memo sizing. Callers that also
+// when Runner is nil — for callers that run specs on the real simulator
+// outside a server's pool while keeping the config's limiter/memo
+// sizing: cmd/greendimmd wraps the cluster's shard runner around it,
+// and cmd/greendimm runs every local spec on it. Callers that also
 // pass the config to Open should set Config.Memo (NewMemo) first, so
 // the wrapper and the server share one memo instead of building two.
+// The runner expects normalized specs.
 func (c Config) BaseRunner() func(JobSpec, RunHooks) (*Result, error) {
 	return c.resolved().baseRunner()
 }

@@ -200,23 +200,6 @@ func TestRNGDistributions(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	g := NewRNG(2)
-	z := g.NewZipf(100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 50000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Errorf("Zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-	// Rank 1 should draw roughly 1/H(100) ~ 19% of samples.
-	frac := float64(counts[0]) / 50000
-	if frac < 0.15 || frac > 0.25 {
-		t.Errorf("Zipf rank-1 fraction = %v, want ~0.19", frac)
-	}
-}
-
 func TestWeightedPick(t *testing.T) {
 	g := NewRNG(3)
 	w := []float64{1, 0, 3}

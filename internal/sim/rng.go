@@ -42,17 +42,6 @@ func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 // Exp returns an exponentially distributed value with the given mean.
 func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
 
-// Normal returns a normally distributed value.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
-// LogNormal returns a log-normally distributed value where mu and sigma are
-// the parameters of the underlying normal (natural-log space).
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.r.NormFloat64()*sigma + mu)
-}
-
 // Pareto returns a Pareto-distributed value with minimum xm and shape alpha.
 // Used for VM lifetimes, which are heavy-tailed in the Azure trace.
 func (g *RNG) Pareto(xm, alpha float64) float64 {
@@ -61,46 +50,6 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 		u = g.r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Zipf returns values in [0, n) following a Zipf distribution with exponent
-// s > 1 is not required; s == 0 degenerates to uniform. Implemented by
-// inverse-CDF over precomputed weights would be heavy for large n, so this
-// uses rejection-free cumulative search over a harmonic table cached per
-// call site via ZipfGen.
-type ZipfGen struct {
-	g   *RNG
-	cum []float64
-}
-
-// NewZipf builds a Zipf generator over [0, n) with exponent s.
-func (g *RNG) NewZipf(n int, s float64) *ZipfGen {
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &ZipfGen{g: g, cum: cum}
-}
-
-// Next draws the next Zipf-distributed index.
-func (z *ZipfGen) Next() int {
-	u := z.g.Float64()
-	// Binary search for the first cumulative weight >= u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Pick returns a uniformly chosen element of xs. It panics on an empty

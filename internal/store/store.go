@@ -67,7 +67,7 @@ type Record struct {
 	Total int `json:"total,omitempty"`
 	// Planned holds the shard plan's [lo,hi) ranges; Done the completed
 	// ones (disjoint, but not necessarily aligned with Planned after a
-	// re-shard).
+	// resumed job plans the ranges still missing).
 	Planned [][2]int `json:"planned,omitempty"`
 	Done    [][2]int `json:"done,omitempty"`
 	// CellCount is the number of journaled artifacts.
